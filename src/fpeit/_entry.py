@@ -30,12 +30,17 @@ def _peek_threads(argv):
     return None
 
 
+def _apply_threads(k: int) -> None:
+    """Cap every thread variable at K, overriding values inherited from the shell."""
+    for var in _THREAD_VARS:
+        os.environ[var] = str(k)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     k = _peek_threads(argv)
     if k is not None and k > 0:
-        for var in _THREAD_VARS:
-            os.environ.setdefault(var, str(k))
+        _apply_threads(k)
     from .cli import main as cli_main
 
     return cli_main(argv)

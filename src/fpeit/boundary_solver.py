@@ -1,12 +1,7 @@
-"""Boundary system assembly, orthonormalization, fitting, and the error norm.
+"""Orthonormalization, fitting, the error norm and the end-to-end pipeline.
 
-The raw boundary system collects the real parts of the formal-power traces in
-a fixed order: the N+1 seed-1 traces first, then the N seed-i traces of
-degrees 1..N (the degree-0 seed-i trace is identically zero on the boundary
-and is excluded). Coefficient labels reserve the slot of the excluded
-function: the seed-1 trace of degree n carries label n, the seed-i trace of
-degree n carries label N+1+n. Labels therefore run over
-{0..N} u {N+2..2N+1}, which is the indexing the coefficient tables use.
+The raw boundary system and its canonical trace order and labels come from
+``fpeit.formal_powers.boundary_system``.
 """
 
 from __future__ import annotations
@@ -20,31 +15,16 @@ import numpy as np
 
 from .conductivity import ConductivityField
 from .errors import ValidationError
-from .formal_powers import FormalPowerTable, build_table
+from .formal_powers import (
+    BoundarySystem,
+    FormalPowerTable,
+    boundary_system,
+    build_table,
+    rim_traces,
+)
 from .pseudoanalytic import GeneratingSequence, RadialMesh, build_sequence, radial_mesh
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class BoundarySystem:
-    """Raw boundary traces with arc weights, in the canonical order."""
-
-    theta: np.ndarray    # (P,)
-    weights: np.ndarray  # (P,) closed-curve trapezoid arc weights
-    raw: np.ndarray      # (M, P) rows are the raw trace functions
-    labels: np.ndarray   # (M,) coefficient labels (slot N+1 reserved, absent)
-
-
-def boundary_system(table: FormalPowerTable) -> BoundarySystem:
-    N = table.N
-    rows = [table.re_trace("1", n) for n in range(N + 1)]
-    rows += [table.re_trace("i", n) for n in range(1, N + 1)]
-    labels = list(range(N + 1)) + [N + 1 + n for n in range(1, N + 1)]
-    return BoundarySystem(theta=table.mesh.theta.copy(),
-                          weights=table.mesh.boundary_weights.copy(),
-                          raw=np.asarray(rows, dtype=float),
-                          labels=np.asarray(labels, dtype=int))
 
 
 def inner_product(f: np.ndarray, g: np.ndarray, weights: np.ndarray) -> float:
@@ -163,11 +143,6 @@ def upsample_periodic_linear(theta_src: np.ndarray, values: np.ndarray,
                      period=2 * math.pi)
 
 
-def raw_trace_matrix(table: FormalPowerTable) -> np.ndarray:
-    """Raw boundary traces of a table, in the canonical order, as (M, P)."""
-    return boundary_system(table).raw
-
-
 def reconstruct_interior(table: FormalPowerTable, transform: np.ndarray,
                          b: np.ndarray) -> np.ndarray:
     """Interior field sum_alpha b_alpha u~_alpha(z) on the mesh nodes.
@@ -208,9 +183,10 @@ def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 
 
     ``data_fn`` maps boundary angles to imposed Dirichlet values. The
     residual norm is integrated on Q equally spaced boundary points; with
-    ``dense_error`` (default) the fitted trace is re-evaluated there by
-    rebuilding the raw traces on a Q-ray mesh, otherwise it is upsampled from
-    the fit nodes by periodic linear interpolation.
+    ``dense_error`` (default) the fitted trace is re-evaluated there from the
+    raw traces rebuilt on a Q-ray mesh (``rim_traces``: ray blocks, rim
+    column only), otherwise it is upsampled from the fit nodes by periodic
+    linear interpolation.
 
     ``fit_quadrature`` selects where the coefficients are determined:
     ``"nodes"`` projects onto the orthonormal basis at the P fit nodes;
@@ -245,14 +221,16 @@ def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 
     b, fitted = fit_coefficients(basis, data_P)
     timings["fit"] = time.monotonic() - t1
 
-    t2 = time.monotonic()
-    theta_q = 2.0 * math.pi * np.arange(Q) / Q
-    data_q = np.asarray(data_fn(theta_q), dtype=float)
     raw_q = None
     if dense_error:
+        t2 = time.monotonic()
         mesh_q = radial_mesh(Q, S, rim_grading=rim_grading)
-        table_q = build_table(build_sequence(field, mesh_q), mesh_q, N, rule=rule)
-        raw_q = raw_trace_matrix(table_q)
+        raw_q = rim_traces(build_sequence(field, mesh_q), mesh_q, N, rule=rule)
+        timings["dense_traces"] = time.monotonic() - t2
+
+    t3 = time.monotonic()
+    theta_q = 2.0 * math.pi * np.arange(Q) / Q
+    data_q = np.asarray(data_fn(theta_q), dtype=float)
     if fit_quadrature == "dense":
         U_q = basis.transform @ raw_q
         b, *_ = np.linalg.lstsq(U_q.T, data_q, rcond=None)
@@ -264,7 +242,7 @@ def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 
     else:
         fit_q = upsample_periodic_linear(mesh.theta, fitted, theta_q)
     E = error_norm(data_q, fit_q)
-    timings["error"] = time.monotonic() - t2
+    timings["error"] = time.monotonic() - t3
     timings["total"] = time.monotonic() - t0
 
     echo = dict(config_echo or {})

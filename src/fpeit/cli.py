@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--preset", type=str, default=None,
                         help=f"named preset ({', '.join(PRESET_NAMES)})")
     common.add_argument("--threads", type=int, default=0, metavar="K",
-                        help="BLAS/OpenMP thread cap (0 = all cores); "
+                        help="BLAS/OpenMP and ray-block worker cap (0 = all cores); "
                              "applied before numpy loads")
 
     p_solve = sub.add_parser("solve", parents=[common],
@@ -288,6 +288,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads < 0:
+            raise ValidationError(f"--threads must be >= 0 (0 = all cores), got {args.threads}")
         cfg = _config_from_args(args)
         if args.command == "solve":
             return run_solve(cfg, args.out)

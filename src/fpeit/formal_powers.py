@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
+import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +34,8 @@ from .pseudoanalytic import (
 )
 
 log = logging.getLogger(__name__)
+
+RAY_BLOCK = 64  # rays per block of rim_traces; a block's chains stay cache-sized
 
 
 @dataclass(frozen=True)
@@ -48,6 +52,36 @@ class FormalPowerTable:
         """Boundary trace Re Z^(n)(seed)|_Gamma at the ray endpoints."""
         Z = self.Z1 if seed == "1" else self.Zi
         return Z[n, :, -1].real.copy()
+
+
+@dataclass(frozen=True)
+class BoundarySystem:
+    """Raw boundary traces with arc weights, in the canonical order."""
+
+    theta: np.ndarray    # (P,)
+    weights: np.ndarray  # (P,) closed-curve trapezoid arc weights
+    raw: np.ndarray      # (M, P) rows are the raw trace functions
+    labels: np.ndarray   # (M,) coefficient labels (slot N+1 reserved, absent)
+
+
+def boundary_system(table: FormalPowerTable) -> BoundarySystem:
+    """Real parts of the table's boundary traces in the canonical order.
+
+    The N+1 seed-1 traces come first, then the N seed-i traces of degrees
+    1..N (the degree-0 seed-i trace is identically zero on the boundary and
+    is excluded). Labels reserve the slot of the excluded function: the
+    seed-1 trace of degree n carries label n, the seed-i trace of degree n
+    carries label N+1+n, so labels run over {0..N} u {N+2..2N+1}, which is
+    the indexing the coefficient tables use.
+    """
+    N = table.N
+    rows = [table.re_trace("1", n) for n in range(N + 1)]
+    rows += [table.re_trace("i", n) for n in range(1, N + 1)]
+    labels = list(range(N + 1)) + [N + 1 + n for n in range(1, N + 1)]
+    return BoundarySystem(theta=table.mesh.theta.copy(),
+                          weights=table.mesh.boundary_weights.copy(),
+                          raw=np.asarray(rows, dtype=float),
+                          labels=np.asarray(labels, dtype=int))
 
 
 def degree_zero(pair: GeneratingPair, a0: complex, mesh: RadialMesh) -> np.ndarray:
@@ -67,16 +101,21 @@ def degree_zero(pair: GeneratingPair, a0: complex, mesh: RadialMesh) -> np.ndarr
     return lam * pair.F + mu * pair.G
 
 
-def _check_finite(W: np.ndarray, degree: int):
+def _check_finite(W: np.ndarray, degree: int, first_ray: int = 0):
     bad = ~np.isfinite(W)
     if bad.any():
         r, s = np.argwhere(bad)[0]
-        raise NumericalError(f"non-finite formal power value at degree {degree}, ray {r}, step {s}")
+        raise NumericalError(f"non-finite formal power value at degree {degree}, "
+                             f"ray {first_ray + r}, step {s}")
 
 
 def formal_power_fields(seq: GeneratingSequence, mesh: RadialMesh, N: int,
-                        seed: complex, rule: str = "cubic") -> np.ndarray:
-    """Pair-0 formal powers Z^(0..N)(seed, z; z0) as an (N+1, P, S+1) array."""
+                        seed: complex, rule: str = "cubic", first_ray: int = 0) -> np.ndarray:
+    """Pair-0 formal powers Z^(0..N)(seed, z; z0) as an (N+1, P, S+1) array.
+
+    ``first_ray`` is the index of the mesh's first ray in a larger mesh it
+    was sliced from; error messages report rays by that global index.
+    """
     if N < 0:
         raise ValidationError(f"N must be non-negative, got {N}")
     k = seq.period
@@ -89,7 +128,7 @@ def formal_power_fields(seq: GeneratingSequence, mesh: RadialMesh, N: int,
             out[0] = W
         for d in range(1, N + 1):
             W = d * fg_integral(W, seq.pair_for(start - d), mesh, rule=rule)
-            _check_finite(W, d)
+            _check_finite(W, d, first_ray)
             if (start - d) % k == 0:
                 out[d] = W
     return out
@@ -101,6 +140,51 @@ def build_table(seq: GeneratingSequence, mesh: RadialMesh, N: int,
     Z1 = formal_power_fields(seq, mesh, N, 1.0, rule=rule)
     Zi = formal_power_fields(seq, mesh, N, 1j, rule=rule)
     return FormalPowerTable(N=N, z0=mesh.z0, mesh=mesh, Z1=Z1, Zi=Zi)
+
+
+def ray_workers(environ=os.environ) -> int:
+    """Worker count for ``rim_traces``: the ``--threads`` cap, clamped to the usable cores.
+
+    The cap is read from OMP_NUM_THREADS, which the console script sets for
+    ``--threads K``; unset, invalid or 0 means every usable core.
+    """
+    cores = len(os.sched_getaffinity(0))
+    try:
+        cap = int(environ.get("OMP_NUM_THREADS", ""))
+    except ValueError:
+        cap = 0
+    return min(cap, cores) if cap > 0 else cores
+
+
+def rim_traces(seq: GeneratingSequence, mesh: RadialMesh, N: int,
+               rule: str = "cubic") -> np.ndarray:
+    """Raw boundary traces (2N+1, P) of the table on ``mesh``, without the table.
+
+    Equals ``boundary_system(build_table(seq, mesh, N, rule)).raw`` bit for
+    bit. Each block of RAY_BLOCK rays runs both seed chains on its slice of
+    the mesh and sequence, writes its rim traces into its own columns and is
+    dropped; blocks run on ``ray_workers()`` threads (numpy releases the GIL
+    in the pair-integral kernels).
+    """
+    raw = np.empty((2 * N + 1, mesh.ray_count))
+
+    def build_block(first: int):
+        rays = slice(first, first + RAY_BLOCK)
+        block_mesh = replace(mesh, theta=mesh.theta[rays], nodes=mesh.nodes[rays],
+                             span=mesh.span[rays],
+                             boundary_weights=mesh.boundary_weights[rays])
+        block_seq = GeneratingSequence(period=seq.period, pairs=tuple(
+            GeneratingPair(F=pair.F[rays], G=pair.G[rays], p_fn=pair.p_fn)
+            for pair in seq.pairs))
+        Z1 = formal_power_fields(block_seq, block_mesh, N, 1.0, rule=rule, first_ray=first)
+        Zi = formal_power_fields(block_seq, block_mesh, N, 1j, rule=rule, first_ray=first)
+        table = FormalPowerTable(N=N, z0=mesh.z0, mesh=block_mesh, Z1=Z1, Zi=Zi)
+        raw[:, rays] = boundary_system(table).raw
+
+    with ThreadPoolExecutor(max_workers=ray_workers()) as pool:
+        # reading every result re-raises the error of a failed block here
+        list(pool.map(build_block, range(0, mesh.ray_count, RAY_BLOCK)))
+    return raw
 
 
 def pseudoanalyticity_check(table: FormalPowerTable, p: np.ndarray,

@@ -10,7 +10,6 @@ from fpeit.boundary_solver import (
     fit_coefficients,
     inner_product,
     orthonormalize,
-    raw_trace_matrix,
     reconstruct_interior,
     solve_dirichlet,
     upsample_periodic_linear,
@@ -236,8 +235,3 @@ def test_solve_warns_when_underresolved(caplog):
     with caplog.at_level("WARNING"):
         solve_dirichlet(field, lambda th: np.cos(th), N=8, P=9, S=60, Q=100)
     assert any("saturate" in r.message for r in caplog.records)
-
-
-def test_raw_trace_matrix_matches_system():
-    table, system = sigma_one_basis(N=4, P=16, S=60)
-    np.testing.assert_array_equal(raw_trace_matrix(table), system.raw)

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from fpeit import _entry
 from fpeit._entry import _peek_threads
 from fpeit.cli import main, run_solve, run_verify
 from fpeit.errors import ValidationError
@@ -53,10 +54,14 @@ def test_solve_writes_artifacts(tmp_path):
     assert report["basis_size"] == 17  # 2N+1 with N=8
     assert report["error"] < 1e-10
     assert report["sequence_period"] == 1
+    assert "dense_traces" in report["timings"]
     header = (tmp_path / "boundary_fit.csv").read_text().splitlines()[0]
     assert header == "theta,l,data,fit,residual"
     coeff_header = (tmp_path / "coefficients.csv").read_text().splitlines()[0]
     assert coeff_header == "alpha,b"
+    assert run_solve(small_rings_config(dense_error=False), tmp_path / "cheap") == 0
+    cheap = json.loads((tmp_path / "cheap" / "report.json").read_text())
+    assert "dense_traces" not in cheap["timings"]
 
 
 def test_solve_deterministic(tmp_path):
@@ -186,6 +191,20 @@ def test_peek_threads():
     assert _peek_threads(["--threads=2", "solve"]) == 2
     assert _peek_threads(["solve"]) is None
     assert _peek_threads(["--threads", "zebra"]) is None
+
+
+def test_explicit_threads_override_inherited_caps(monkeypatch):
+    for var in _entry._THREAD_VARS:
+        monkeypatch.setenv(var, "8")
+    _entry._apply_threads(1)
+    assert all(os.environ[var] == "1" for var in _entry._THREAD_VARS)
+
+
+def test_negative_threads_rejected(tmp_path, capsys):
+    assert _entry.main(["solve", "--preset", "constant", "--threads", "-1",
+                        "--out", str(tmp_path)]) == 2
+    assert "invalid input" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_threads_flag_accepted_after_subcommand(tmp_path):

@@ -1,14 +1,23 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from fpeit.conductivity import constant_field, radial_rings_field
+from fpeit import formal_powers
+from fpeit.cli import main
+from fpeit.conductivity import constant_field, radial_rings_field, scene_from_dict
+from fpeit.errors import NumericalError
 from fpeit.formal_powers import (
+    RAY_BLOCK,
+    boundary_system,
     build_table,
     degree_zero,
     formal_power_fields,
     pseudoanalyticity_check,
+    ray_workers,
+    rim_traces,
     write_powers_csv,
 )
 from fpeit.pseudoanalytic import build_sequence, pair_from_p, radial_mesh
@@ -154,3 +163,63 @@ def test_powers_csv_dump(tmp_path):
     assert len(lines) == 1 + 2 * 3 * 5 * 51  # seeds * degrees * rays * steps
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "1"
+
+
+DISK_SCENE = {"background": 10.0,
+              "shapes": [{"kind": "disk", "cx": 0.3, "cy": -0.2, "r2": 0.1, "value": 60.0}]}
+
+
+@pytest.mark.parametrize("field, period", [(sinusoidal_case(math.pi).field, 2),
+                                           (scene_from_dict(DISK_SCENE), 1)],
+                         ids=["sinusoidal", "disk-scene"])
+@pytest.mark.parametrize("rays, grading", [(150, 1.0), (40, 1.0), (150, 2.0)],
+                         ids=["150-rays", "40-rays", "150-rays-graded"])
+def test_rim_traces_match_boundary_system(field, period, rays, grading):
+    # 150 rays leave a ragged last block, 40 fit in one
+    mesh = radial_mesh(rays, 60, rim_grading=grading)
+    seq = build_sequence(field, mesh)
+    assert seq.period == period
+    np.testing.assert_array_equal(rim_traces(seq, mesh, 6),
+                                  boundary_system(build_table(seq, mesh, 6)).raw)
+
+
+def test_ray_workers_clamps_the_thread_cap():
+    cores = len(os.sched_getaffinity(0))
+    assert ray_workers({"OMP_NUM_THREADS": "1"}) == 1
+    assert ray_workers({}) == cores
+    assert ray_workers({"OMP_NUM_THREADS": "0"}) == cores
+    assert ray_workers({"OMP_NUM_THREADS": "100000"}) == cores
+
+
+BAD_RAY = RAY_BLOCK + 5  # a ray of the second block
+
+
+def poison_ray(monkeypatch, Q):
+    """Make fg_integral return a NaN on ray BAD_RAY of a Q-ray mesh."""
+    real = formal_powers.fg_integral
+    bad_theta = (2.0 * math.pi * np.arange(Q) / Q)[BAD_RAY]
+
+    def fg_integral(W, pair, mesh, rule="cubic"):
+        out = real(W, pair, mesh, rule=rule)
+        out[mesh.theta == bad_theta, 3] = np.nan
+        return out
+
+    monkeypatch.setattr(formal_powers, "fg_integral", fg_integral)
+
+
+def test_rim_traces_report_the_global_ray(monkeypatch):
+    mesh = radial_mesh(150, 40)
+    seq = build_sequence(constant_field(1.0), mesh)
+    poison_ray(monkeypatch, 150)
+    with pytest.raises(NumericalError, match=f"ray {BAD_RAY}, step 3"):
+        rim_traces(seq, mesh, 3)
+
+
+def test_solve_exits_3_on_a_block_failure(tmp_path, monkeypatch, capsys):
+    poison_ray(monkeypatch, 150)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"preset": "constant", "N": 3, "P": 12, "S": 50, "Q": 150}))
+    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"ray {BAD_RAY}," in err
+    assert "Traceback" not in err
