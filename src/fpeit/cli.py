@@ -8,7 +8,6 @@ variable (error, warn, info, debug).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -22,6 +21,7 @@ from .boundary_solver import reconstruct_interior, solve_dirichlet
 from .conductivity import AnalyticSeparable
 from .errors import DomainError, NumericalError, ValidationError
 from .formal_powers import build_table, pseudoanalyticity_check, write_powers_csv
+from .formal_powers import cells, rows, write_csv
 from .presets import (
     PRESET_NAMES,
     RunConfig,
@@ -56,17 +56,6 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def run_solve(config: RunConfig, out_dir) -> int:
     """Run the pipeline and write coefficients.csv, boundary_fit.csv, report.json."""
     out = Path(out_dir)
@@ -82,22 +71,19 @@ def run_solve(config: RunConfig, out_dir) -> int:
                           fit_quadrature=config.fit_quadrature,
                           config_echo={"preset": config.preset})
     fit = res.fit
-
-    _write_csv(out / "coefficients.csv", ["alpha", "b"],
-               [[int(a), _fmt(b)] for a, b in zip(fit.labels, fit.coefficients)])
-    arc = res.theta_dense  # arc length equals the angle on the unit circle
-    _write_csv(out / "boundary_fit.csv", ["theta", "l", "data", "fit", "residual"],
-               [[_fmt(th), _fmt(l), _fmt(d), _fmt(f), _fmt(d - f)]
-                for th, l, d, f in zip(res.theta_dense, arc, res.data_dense, res.fit_dense)])
-
     if config.interior:
         u = reconstruct_interior(res.table, res.basis.transform, fit.coefficients)
-        x, y = res.mesh.xy()
-        _write_csv(out / "interior.csv", ["x", "y", "u"],
-                   [[_fmt(a), _fmt(b_), _fmt(v)]
-                    for a, b_, v in zip(x.ravel(), y.ravel(), u.ravel())])
+    t_write = time.monotonic()
+    write_csv(out / "coefficients.csv", ["alpha", "b"],
+              [rows(cells(fit.labels), cells(fit.coefficients))])
+    th, d, f = res.theta_dense, res.data_dense, res.fit_dense  # arc length l equals theta
+    write_csv(out / "boundary_fit.csv", ["theta", "l", "data", "fit", "residual"],
+              [rows(*map(cells, (th, th, d, f, d - f)))])
+    if config.interior:
+        write_csv(out / "interior.csv", ["x", "y", "u"], [rows(*map(cells, (*res.mesh.xy(), u)))])
     if config.dump_powers:
         write_powers_csv(res.table, out / "powers.csv")
+    timings = {**res.timings, "write": time.monotonic() - t_write}
 
     significant = int(np.sum(np.abs(fit.coefficients) > 1e-3))
     report = {
@@ -110,7 +96,7 @@ def run_solve(config: RunConfig, out_dir) -> int:
         "coefficient_count": int(len(fit.coefficients)),
         "significant_coefficients": significant,
         "sequence_period": res.sequence.period,
-        "timings": {k: round(v, 4) for k, v in res.timings.items()},
+        "timings": {k: round(v, 4) for k, v in timings.items()},
         "wall_time": round(time.monotonic() - t0, 4),
         "artifacts": sorted(p.name for p in out.iterdir() if p.is_file()),
     }

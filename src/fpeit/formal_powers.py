@@ -16,7 +16,6 @@ produce the whole table in O(N) integrations per seed.
 
 from __future__ import annotations
 
-import csv
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -208,18 +207,31 @@ def pseudoanalyticity_check(table: FormalPowerTable, p: np.ndarray,
     return out
 
 
-def write_powers_csv(table: FormalPowerTable, path):
-    """Dump the table as degree,seed,ray,step,x,y,ReZ,ImZ rows."""
-    mesh = table.mesh
-    x, y = mesh.xy()
+def cells(values: np.ndarray) -> list[str]:
+    """CSV cells of an array in C order: str for ints, %.17g (exact for float64) for floats."""
+    if values.dtype.kind in "iu":
+        return [str(v) for v in values.ravel().tolist()]
+    return [f"{v:.17g}" for v in values.ravel().tolist()]
+
+
+def rows(*columns) -> str:
+    """CSV lines of equal-length columns of cells, unquoted and CRLF-ended like csv.writer's."""
+    return "".join([",".join(row) + "\r\n" for row in zip(*columns)])
+
+
+def write_csv(path, header, blocks):
+    """Write a CSV artifact: the header line, then each block of ``rows`` text as it comes."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["degree", "seed", "ray", "step", "x", "y", "ReZ", "ImZ"])
-        for seed, Z in (("1", table.Z1), ("i", table.Zi)):
-            for n in range(table.N + 1):
-                for r in range(mesh.ray_count):
-                    for s in range(mesh.step_count + 1):
-                        w.writerow([n, seed, r, s,
-                                    f"{x[r, s]:.17g}", f"{y[r, s]:.17g}",
-                                    f"{Z[n, r, s].real:.17g}", f"{Z[n, r, s].imag:.17g}"])
-    log.info("wrote formal power dump to %s", path)
+        fh.write(rows(*zip(header)))  # one row of one-cell columns
+        fh.writelines(blocks)
+
+
+def write_powers_csv(table: FormalPowerTable, path):
+    """Dump the table as degree,seed,ray,step,x,y,ReZ,ImZ rows, one block per (seed, degree)."""
+    ray, step = np.indices(table.mesh.nodes.shape)
+    node = [",".join(c) for c in zip(*map(cells, (ray, step, *table.mesh.xy())))]
+    write_csv(path, ["degree", "seed", "ray", "step", "x", "y", "ReZ", "ImZ"],
+              (rows([f"{n},{seed}"] * len(node), node, cells(Z[n].real), cells(Z[n].imag))
+               for seed, Z in (("1", table.Z1), ("i", table.Zi)) for n in range(table.N + 1)))
+    log.info("wrote %d rows (%.1f MB) of formal powers to %s", 2 * (table.N + 1) * len(node),
+             os.path.getsize(path) / 1e6, path)

@@ -247,6 +247,10 @@ def _boundary_from_csv(path):
         raise ValidationError("boundary CSV needs at least two samples")
     th = np.array([r[0] for r in rows])
     vals = np.array([r[1] for r in rows])
+    if not (np.isfinite(th).all() and np.isfinite(vals).all()):
+        raise ValidationError(f"boundary CSV {path!r} holds a non-finite theta or u")
+    if np.any(np.diff(np.sort(np.mod(th, 2 * math.pi))) == 0):
+        raise ValidationError(f"boundary CSV {path!r} repeats an angle modulo 2*pi")
     order = np.argsort(th)
     th, vals = th[order], vals[order]
     from .boundary_solver import upsample_periodic_linear

@@ -55,6 +55,7 @@ def test_solve_writes_artifacts(tmp_path):
     assert report["error"] < 1e-10
     assert report["sequence_period"] == 1
     assert "dense_traces" in report["timings"]
+    assert 0 <= report["timings"]["write"] <= report["wall_time"]
     header = (tmp_path / "boundary_fit.csv").read_text().splitlines()[0]
     assert header == "theta,l,data,fit,residual"
     coeff_header = (tmp_path / "coefficients.csv").read_text().splitlines()[0]
@@ -127,6 +128,24 @@ def test_boundary_csv_ingestion(tmp_path):
     got = data_fn(np.array([0.0, math.pi / 2]))
     np.testing.assert_allclose(got, [1.0, -1.0], atol=1e-10)
     assert run_solve(cfg, tmp_path / "out") == 0
+
+
+@pytest.mark.parametrize("samples", [
+    [(0.0, 1.0), (1.5, 0.0), (3.0, float("nan")), (4.5, 0.0)],
+    [(0.0, 1.0), (1.5, 0.0), (float("inf"), -1.0), (4.5, 0.0)],
+    [(0.0, 1.0), (1.5, 0.0), (3.0, -1.0), (2 * math.pi, 0.5)],
+], ids=["nan-u", "inf-theta", "angle-repeats-mod-2pi"])
+def test_bad_boundary_csv_exits_2(tmp_path, capsys, samples):
+    path = tmp_path / "bc.csv"
+    path.write_text("theta,u\n" + "".join(f"{t!r},{u!r}\n" for t, u in samples))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "conductivity": {"variant": "constant", "value": 1.0},
+        "boundary_data": {"csv": str(path)},
+        "N": 4, "P": 12, "S": 50, "Q": 100,
+    }))
+    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert "boundary CSV" in capsys.readouterr().err
 
 
 def test_conductivity_csv_variant(tmp_path):

@@ -163,6 +163,16 @@ def test_powers_csv_dump(tmp_path):
     assert len(lines) == 1 + 2 * 3 * 5 * 51  # seeds * degrees * rays * steps
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "1"
+    # rows run seed-major, then degree, ray, step; every value reads back bit for bit
+    back = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 2, 3, 4, 5, 6, 7))
+    Z = np.stack([table.Z1, table.Zi])
+    degree, ray, step = np.indices(Z.shape[1:])
+    x, y = mesh.xy()
+    for col, want in enumerate((degree, ray, step, np.broadcast_to(x, Z.shape[1:]),
+                                np.broadcast_to(y, Z.shape[1:]))):
+        np.testing.assert_array_equal(back[:, col], np.tile(want.ravel(), 2))
+    np.testing.assert_array_equal(back[:, 5], Z.real.ravel())
+    np.testing.assert_array_equal(back[:, 6], Z.imag.ravel())
 
 
 DISK_SCENE = {"background": 10.0,
