@@ -86,6 +86,8 @@ def run_solve(config: RunConfig, out_dir) -> int:
     timings = {**res.timings, "write": time.monotonic() - t_write}
 
     significant = int(np.sum(np.abs(fit.coefficients) > 1e-3))
+    U = res.basis.functions
+    defect = float(np.max(np.abs((U * res.basis.weights) @ U.T - np.eye(len(U)))))
     report = {
         "preset": config.preset,
         "config": config.to_dict(),
@@ -96,6 +98,7 @@ def run_solve(config: RunConfig, out_dir) -> int:
         "coefficient_count": int(len(fit.coefficients)),
         "significant_coefficients": significant,
         "sequence_period": res.sequence.period,
+        "diagnostics": {"orthonormality_defect": defect},
         "timings": {k: round(v, 4) for k, v in timings.items()},
         "wall_time": round(time.monotonic() - t0, 4),
         "artifacts": sorted(p.name for p in out.iterdir() if p.is_file()),

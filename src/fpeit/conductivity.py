@@ -464,6 +464,8 @@ def load_conductivity_csv(path) -> LimitCase:
     data = np.asarray(rows, dtype=float)
     if data.size == 0:
         raise ValidationError("conductivity CSV is empty")
+    if not np.all(np.isfinite(data[:, :2])):
+        raise ValidationError("conductivity CSV contains non-finite x or y coordinates")
     xs = np.unique(data[:, 0])
     ys = np.unique(data[:, 1])
     if len(xs) * len(ys) != len(data):

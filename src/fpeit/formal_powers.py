@@ -121,11 +121,11 @@ def formal_power_fields(seq: GeneratingSequence, mesh: RadialMesh, N: int,
     out = np.empty((N + 1,) + mesh.nodes.shape, dtype=complex)
     for start in range(min(k, N + 1)):
         # the chain seeded at pair index `start` delivers the pair-0 powers of
-        # degrees d with (start - d) % k == 0
+        # degrees d with (start - d) % k == 0, the last of them N - (N - start) % k
         W = degree_zero(seq.pair_for(start), seed, mesh)
         if start % k == 0:
             out[0] = W
-        for d in range(1, N + 1):
+        for d in range(1, N - (N - start) % k + 1):
             W = d * fg_integral(W, seq.pair_for(start - d), mesh, rule=rule)
             _check_finite(W, d, first_ray)
             if (start - d) % k == 0:

@@ -20,7 +20,11 @@ power recursion uses only the integral and is unaffected.
 
 Only generating pairs of the form (p, i/p) with p > 0 are supported; this is
 the class the impedance-equation reduction produces, and it keeps the pair
-condition Im(conj(F) G) = 1 exact.
+condition Im(conj(F) G) = 1 exact. For them both integrals of the pair
+integral are real: with W = u + iv on a ray dz = (sr + i si) dt,
+
+    Re int G* W dz = int (u sr - v si) / p dt =: A,   Re int F* W dz = int p (u si + v sr) dt =: B,
+    fg_integral(W) = p A + i B / p.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .errors import NumericalError, ValidationError
 log = logging.getLogger(__name__)
 
 RIM_TOL = 1e-12
+CHUNK = 16  # intervals per block of the cumulative ray quadrature
 
 
 # --------------------------------------------------------------------------
@@ -51,7 +56,7 @@ class RadialMesh:
     Nodes are z[r, s] = z0 + t[s] * span[r], where span[r] points from the
     center to the rim along ray r, so every ray starts at z0 (s = 0) and ends
     on the unit circle (s = S). The parameter grid t is shared by all rays,
-    which lets the cumulative quadrature weights be computed once.
+    which lets the cumulative quadrature operators be computed once.
     """
 
     theta: np.ndarray            # (P,) ray angles, sorted, in [0, 2pi)
@@ -60,8 +65,8 @@ class RadialMesh:
     nodes: np.ndarray            # (P, S+1) complex
     span: np.ndarray             # (P,) complex, nodes[:, -1] - z0
     boundary_weights: np.ndarray  # (P,) closed-curve trapezoid arc weights
-    cubic_idx: np.ndarray        # (S, 4) stencil node indices per interval
-    cubic_w: np.ndarray          # (S, 4) cubic quadrature weights per interval
+    chunk_nodes: np.ndarray      # (C, b+3) node window read by each quadrature chunk
+    chunk_ops: dict              # rule -> (C, b+3, b) window-to-prefix-sum maps
 
     @property
     def ray_count(self):
@@ -100,6 +105,30 @@ def _cumulative_cubic_weights(t: np.ndarray):
     mom = (xb[:, None] ** m - xa[:, None] ** m) / m * scale[:, None]
     w = np.linalg.solve(V, mom[:, :, None])[:, :, 0]
     return idx, w
+
+
+def _chunk_operators(t: np.ndarray):
+    """Cumulative ray quadrature on the grid t as per-chunk linear maps.
+
+    The S intervals form chunks of b = CHUNK (b = S - 2 when S < CHUNK + 2).
+    Chunk c reads the b + 3 nodes ``windows[c]`` holding its intervals'
+    stencils, and ``ops[rule][c]`` maps them to its b prefix sums; the running
+    integral adds the totals of the chunks before it.
+    """
+    S = len(t) - 1
+    b = CHUNK if S >= CHUNK + 2 else S - 2
+    C = -(-S // b)
+    first = np.clip(np.arange(C) * b - 1, 0, S - b - 2)
+    j = np.arange(S)
+    half = 0.5 * np.diff(t)
+    stencils = {"cubic": _cumulative_cubic_weights(t),
+                "trapezoid": (np.stack([j, j + 1], axis=1), np.stack([half, half], axis=1))}
+    ops = {}
+    for rule, (idx, w) in stencils.items():
+        inc = np.zeros((C, b + 3, b))
+        inc[(j // b)[:, None], idx - first[j // b, None], (j % b)[:, None]] = w
+        ops[rule] = np.cumsum(inc, axis=2)
+    return first[:, None] + np.arange(b + 3), ops
 
 
 def radial_mesh(P: int, S: int, z0: complex = 0j, rim_grading: float = 1.0,
@@ -155,9 +184,23 @@ def radial_mesh(P: int, S: int, z0: complex = 0j, rim_grading: float = 1.0,
 
     gaps = np.diff(np.concatenate([theta, [theta[0] + 2 * math.pi]]))
     bw = 0.5 * (gaps + np.roll(gaps, 1))
-    idx, w = _cumulative_cubic_weights(t)
+    windows, ops = _chunk_operators(t)
     return RadialMesh(theta=theta, t=t, z0=z0, nodes=nodes, span=span,
-                      boundary_weights=bw, cubic_idx=idx, cubic_w=w)
+                      boundary_weights=bw, chunk_nodes=windows, chunk_ops=ops)
+
+
+def _ray_cumsum(f: np.ndarray, mesh: RadialMesh, rule: str) -> np.ndarray:
+    """Running quadrature of f dt along every ray at steps 1..S, shape (..., P, S)."""
+    try:
+        op = mesh.chunk_ops[rule]
+    except KeyError:
+        raise ValidationError(f"unknown quadrature rule {rule!r}") from None
+    C, width, b = op.shape
+    windows = f[..., mesh.chunk_nodes].reshape(-1, C, width)
+    # one stacked product over all chunks; rows are the rays of every leading index
+    Y = np.matmul(windows.swapaxes(0, 1), op)                  # (C, rows, b)
+    Y[1:] += np.cumsum(Y[:-1, :, -1:], axis=0)                # carry the chunk totals
+    return Y.swapaxes(0, 1).reshape(f.shape[:-1] + (C * b,))[..., :mesh.step_count]
 
 
 def cumulative_path_integral(f: np.ndarray, mesh: RadialMesh, rule: str = "cubic") -> np.ndarray:
@@ -167,14 +210,8 @@ def cumulative_path_integral(f: np.ndarray, mesh: RadialMesh, rule: str = "cubic
     ``rule`` is "cubic" (default, 4-point local cubic) or "trapezoid".
     """
     f = np.asarray(f)
-    if rule == "trapezoid":
-        inc = 0.5 * (f[..., 1:] + f[..., :-1]) * np.diff(mesh.t)
-    elif rule == "cubic":
-        inc = np.einsum("jk,...jk->...j", mesh.cubic_w, f[..., mesh.cubic_idx])
-    else:
-        raise ValidationError(f"unknown quadrature rule {rule!r}")
     out = np.zeros(np.broadcast_shapes(f.shape, mesh.nodes.shape), dtype=complex)
-    np.cumsum(inc, axis=-1, out=out[..., 1:])
+    out[..., 1:] = _ray_cumsum(f, mesh, rule)
     return out * mesh.span[:, None]
 
 
@@ -312,12 +349,24 @@ def fg_integral(W: np.ndarray, pair: GeneratingPair, mesh: RadialMesh,
 
     Returns F(z) Re(int G* W dz) + G(z) Re(int F* W dz) cumulatively at every
     node; the value at s = 0 is 0. With the pair (1, i) this reduces to the
-    ordinary complex contour integral.
+    ordinary complex contour integral. For the pair (p, i/p) both integrands
+    are real (see the module docstring), so the two running integrals take
+    one real pass of the chunked ray quadrature.
     """
-    Fs, Gs = pair.adjoint_values()
-    I_G = cumulative_path_integral(Gs * W, mesh, rule=rule)
-    I_F = cumulative_path_integral(Fs * W, mesh, rule=rule)
-    return pair.F * I_G.real + pair.G * I_F.real
+    p = pair.F.real
+    Wdz = W * mesh.span[:, None]                 # (u sr - v si) + i (u si + v sr)
+    # both integrands in one stack: with two rows or more per chunk, numpy's
+    # matmul always takes the gemm path (one row goes through gemv, which
+    # rounds differently), so a ray's result does not depend on its ray slice
+    f = np.empty((2,) + Wdz.shape)
+    np.divide(Wdz.real, p, out=f[0])
+    np.multiply(Wdz.imag, p, out=f[1])
+    A, B = _ray_cumsum(f, mesh, rule)
+    out = np.empty(Wdz.shape, dtype=complex)
+    out[..., 0] = 0.0
+    np.multiply(p[..., 1:], A, out=out.real[..., 1:])
+    np.divide(B, p[..., 1:], out=out.imag[..., 1:])
+    return out
 
 
 def mesh_gradient(W: np.ndarray, mesh: RadialMesh):

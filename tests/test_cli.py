@@ -54,6 +54,7 @@ def test_solve_writes_artifacts(tmp_path):
     assert report["basis_size"] == 17  # 2N+1 with N=8
     assert report["error"] < 1e-10
     assert report["sequence_period"] == 1
+    assert 0.0 <= report["diagnostics"]["orthonormality_defect"] <= 1e-10
     assert "dense_traces" in report["timings"]
     assert 0 <= report["timings"]["write"] <= report["wall_time"]
     header = (tmp_path / "boundary_fit.csv").read_text().splitlines()[0]
@@ -163,6 +164,23 @@ def test_conductivity_csv_variant(tmp_path):
     field = build_field(cfg)
     assert field.evaluate(0.2, -0.3) == pytest.approx(2.0, rel=1e-12)
     assert run_solve(cfg, tmp_path / "out") == 0
+
+
+@pytest.mark.parametrize("bad_x", ["nan", "inf"])
+def test_conductivity_csv_with_non_finite_coordinates_exits_2(tmp_path, capsys, bad_x):
+    path = tmp_path / "sigma.csv"
+    # a complete 2 x 2 grid whose second x row is not finite
+    path.write_text(f"x,y,sigma\n-1,-1,2\n-1,1,2\n{bad_x},-1,2\n{bad_x},1,2\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "conductivity": {"variant": "csv", "path": str(path)},
+        "boundary_data": {"expression": "harmonic-quadratic"},
+        "N": 4, "P": 12, "S": 50, "Q": 100,
+    }))
+    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite x or y" in err
+    assert "Traceback" not in err
 
 
 def test_piecewise_of_and_limit_of_variants():

@@ -95,6 +95,26 @@ def test_linearity_in_the_seed():
     assert np.abs(direct - combo).max() <= 1e-12 * scale
 
 
+def test_chains_stop_at_their_last_kept_degree(monkeypatch):
+    # period 2, N = 5: the start-0 chain keeps degrees 0, 2, 4 and the start-1
+    # chain 1, 3, 5, so 4 + 5 integrations per seed
+    mesh = radial_mesh(10, 60)
+    seq = build_sequence(sinusoidal_case(math.pi).field, mesh)
+    assert seq.period == 2
+    longer = formal_power_fields(seq, mesh, 6, 1.0)
+    calls = []
+    real = formal_powers.fg_integral
+
+    def counting(W, pair, mesh, rule="cubic"):
+        calls.append(1)
+        return real(W, pair, mesh, rule=rule)
+
+    monkeypatch.setattr(formal_powers, "fg_integral", counting)
+    Z = formal_power_fields(seq, mesh, 5, 1.0)
+    assert len(calls) == 9
+    np.testing.assert_array_equal(Z, longer[:6])
+
+
 def test_linearity_random_seeds():
     mesh = radial_mesh(8, 60)
     seq = build_sequence(constant_field(2.0), mesh)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from fpeit.conductivity import constant_field, radial_rings_field, sample_piecew
 from fpeit.errors import NumericalError, ValidationError
 from fpeit.pseudoanalytic import (
     GeneratingPair,
+    _cumulative_cubic_weights,
     adjoint,
     build_sequence,
     characteristic_coefficients,
@@ -220,6 +222,74 @@ def test_fg_integral_against_quadrature_oracle():
     assert abs(got - expected) < 1e-9
 
 
+def reference_fg_integral(W, pair, mesh, rule):
+    """The complex general-pair kernel: adjoint products, then per-interval gather + einsum + cumsum."""
+    def cumulative(f):
+        if rule == "trapezoid":
+            inc = 0.5 * (f[..., 1:] + f[..., :-1]) * np.diff(mesh.t)
+        else:
+            idx, w = _cumulative_cubic_weights(mesh.t)
+            inc = np.einsum("jk,...jk->...j", w, f[..., idx])
+        out = np.zeros(f.shape, dtype=complex)
+        np.cumsum(inc, axis=-1, out=out[..., 1:])
+        return out * mesh.span[:, None]
+
+    Fs, Gs = pair.adjoint_values()
+    return pair.F * cumulative(Gs * W).real + pair.G * cumulative(Fs * W).real
+
+
+def p_fields(mesh):
+    x, y = mesh.xy()
+    return {"constant": np.full(x.shape, 1.7),
+            "smooth": np.exp(0.4 * x - 0.3 * y),
+            "jumpy": np.where(np.hypot(x - 0.2, y + 0.1) < 0.5, 3.0, 1.0)}
+
+
+@pytest.mark.parametrize("rule", ["cubic", "trapezoid"])
+@pytest.mark.parametrize("S", [3, 4, 17, 18, 19, 60, 401])
+@pytest.mark.parametrize("grading", [1.0, 2.0])
+def test_fg_integral_matches_complex_kernel(rule, S, grading):
+    mesh = radial_mesh(9, S, z0=0.1 - 0.2j, rim_grading=grading)
+    rng = np.random.default_rng(S)
+    W = rng.normal(size=mesh.nodes.shape) + 1j * rng.normal(size=mesh.nodes.shape)
+    for name, p in p_fields(mesh).items():
+        pair = pair_from_p(p)
+        ref = reference_fg_integral(W, pair, mesh, rule)
+        got = fg_integral(W, pair, mesh, rule=rule)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), name
+        assert np.all(got[:, 0] == 0.0)
+
+
+def test_fg_integral_matches_complex_kernel_on_a_ray_slice():
+    # a ragged slice of rays, as the ray blocks of the dense rebuild take it
+    mesh = radial_mesh(40, 60, rim_grading=2.0)
+    rays = slice(11, 34)
+    part = replace(mesh, theta=mesh.theta[rays], nodes=mesh.nodes[rays], span=mesh.span[rays],
+                   boundary_weights=mesh.boundary_weights[rays])
+    rng = np.random.default_rng(1)
+    W = rng.normal(size=part.nodes.shape) + 1j * rng.normal(size=part.nodes.shape)
+    for rule in ("cubic", "trapezoid"):
+        for name, p in p_fields(mesh).items():
+            pair = pair_from_p(p[rays])
+            ref = reference_fg_integral(W, pair, part, rule)
+            got = fg_integral(W, pair, part, rule=rule)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), (rule, name)
+
+
+def test_fg_integral_of_a_ray_does_not_depend_on_its_slice():
+    # rim_traces relies on it to match the full-mesh table bit for bit
+    mesh = radial_mesh(40, 60)
+    pair = pair_from_p(p_fields(mesh)["smooth"])
+    rng = np.random.default_rng(2)
+    W = rng.normal(size=mesh.nodes.shape) + 1j * rng.normal(size=mesh.nodes.shape)
+    full = fg_integral(W, pair, mesh)
+    for rays in (slice(3, 4), slice(5, 7), slice(0, 33)):
+        part = replace(mesh, theta=mesh.theta[rays], nodes=mesh.nodes[rays],
+                       span=mesh.span[rays], boundary_weights=mesh.boundary_weights[rays])
+        got = fg_integral(W[rays], pair_from_p(pair.F.real[rays]), part)
+        np.testing.assert_array_equal(got, full[rays])
+
+
 def test_cumulative_rules_reject_unknown():
     mesh = radial_mesh(6, 50)
     with pytest.raises(ValidationError):
@@ -383,12 +453,14 @@ def test_round_trip_uses_consistent_factor():
 def test_chain_overflow_reports_location():
     # For pairs of the (p, i/p) form the chain products top out at p^2, so a
     # conductivity that passes validation cannot overflow; drive the guard
-    # with a raw pair whose p^2 exceeds the float range.
+    # with a raw pair whose p^2 exceeds the float range along ray 1 (60
+    # degrees). Along ray 0 the span is real and the integrand p (u si + v sr)
+    # never forms p^2 there.
     from fpeit.formal_powers import formal_power_fields
     from fpeit.pseudoanalytic import GeneratingSequence
     mesh = radial_mesh(6, 60)
-    x, _ = mesh.xy()
-    pair = pair_from_p(np.exp(355.0 * x))
+    x, y = mesh.xy()
+    pair = pair_from_p(np.exp(355.0 * (x / 2 + math.sqrt(3) * y / 2)))
     seq = GeneratingSequence(period=1, pairs=(pair,))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match="degree"):
