@@ -2,7 +2,8 @@
 
 BLAS thread caps only take effect through environment variables read at
 library load time, so the flag has to be handled before ``fpeit.cli`` (and
-through it numpy) is imported.
+through it numpy) is imported. The package ``__init__`` loads its names
+lazily for the same reason. ``python -m fpeit`` runs this shim too.
 """
 
 from __future__ import annotations

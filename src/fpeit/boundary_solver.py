@@ -48,6 +48,7 @@ class OrthonormalBasis:
     labels: np.ndarray      # (K,) labels of the kept functions
     raw_labels: np.ndarray  # (M,) labels of the raw system
     dropped: tuple          # ((label, residual_norm), ...)
+    norm_ratios: np.ndarray  # (K,) post-projection / original norm of the kept functions
 
 
 def orthonormalize(system: BoundarySystem, drop_tol: float = 1e-10) -> OrthonormalBasis:
@@ -55,7 +56,8 @@ def orthonormalize(system: BoundarySystem, drop_tol: float = 1e-10) -> Orthonorm
 
     Functions are processed in the system order. A function whose
     post-projection norm falls below ``drop_tol`` times its original norm is
-    dropped and logged with its residual norm.
+    dropped and logged with its residual norm; the ratios of the kept ones
+    are recorded in ``norm_ratios``.
     """
     M, P = system.raw.shape
     if P < M:
@@ -65,6 +67,7 @@ def orthonormalize(system: BoundarySystem, drop_tol: float = 1e-10) -> Orthonorm
     kept_u: list[np.ndarray] = []
     kept_t: list[np.ndarray] = []
     kept_labels: list[int] = []
+    kept_ratios: list[float] = []
     dropped: list[tuple[int, float]] = []
     for j in range(M):
         v = system.raw[j].astype(float).copy()
@@ -87,12 +90,14 @@ def orthonormalize(system: BoundarySystem, drop_tol: float = 1e-10) -> Orthonorm
         kept_u.append(v / norm)
         kept_t.append(tv / norm)
         kept_labels.append(int(system.labels[j]))
+        kept_ratios.append(norm / norm0)
     return OrthonormalBasis(theta=system.theta, weights=w,
                             functions=np.asarray(kept_u),
                             transform=np.asarray(kept_t),
                             labels=np.asarray(kept_labels, dtype=int),
                             raw_labels=system.labels.copy(),
-                            dropped=tuple(dropped))
+                            dropped=tuple(dropped),
+                            norm_ratios=np.asarray(kept_ratios))
 
 
 @dataclass(frozen=True)

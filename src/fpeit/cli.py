@@ -88,6 +88,13 @@ def run_solve(config: RunConfig, out_dir) -> int:
     significant = int(np.sum(np.abs(fit.coefficients) > 1e-3))
     U = res.basis.functions
     defect = float(np.max(np.abs((U * res.basis.weights) @ U.T - np.eye(len(U)))))
+    top = np.isin(fit.labels, [config.N - 1, config.N, 2 * config.N, 2 * config.N + 1])
+    diagnostics = {
+        "orthonormality_defect": defect,
+        "min_kept_norm_ratio": float(res.basis.norm_ratios.min()),
+        # labels of the seed-1 and seed-i powers of the top two degrees
+        "coefficient_tail": float(np.linalg.norm(fit.coefficients[top])),
+    }
     report = {
         "preset": config.preset,
         "config": config.to_dict(),
@@ -98,7 +105,7 @@ def run_solve(config: RunConfig, out_dir) -> int:
         "coefficient_count": int(len(fit.coefficients)),
         "significant_coefficients": significant,
         "sequence_period": res.sequence.period,
-        "diagnostics": {"orthonormality_defect": defect},
+        "diagnostics": diagnostics,
         "timings": {k: round(v, 4) for k, v in timings.items()},
         "wall_time": round(time.monotonic() - t0, 4),
         "artifacts": sorted(p.name for p in out.iterdir() if p.is_file()),

@@ -12,6 +12,16 @@ delivers all pair-0 powers of degrees d == s (mod 2): the degree-d
 intermediate of that chain carries pair index (s - d) mod 2, which is 0
 exactly when d and s share parity. Two chains (one per parity) therefore
 produce the whole table in O(N) integrations per seed.
+
+The chains run in real arithmetic. For a pair (p, i/p) every power is
+W = p A + i B / p with two real fields A, B: the running integrals of the
+pair integral that produced it (for degree 0, the constants lambda, mu).
+The integrands of the next integral are linear in (A, B), with per-node
+coefficients that depend only on the two pairs involved and the ray span,
+so they are built once per mesh and shared by every seed. The chains of
+all requested seeds are stacked in one state and advance together, one
+blocked quadrature product per degree, with the degree folded into the
+quadrature operator.
 """
 
 from __future__ import annotations
@@ -22,19 +32,24 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericalError, ValidationError
 from .pseudoanalytic import (
     GeneratingPair,
     GeneratingSequence,
     RadialMesh,
-    fg_integral,
     vekua_residual,
 )
 
 log = logging.getLogger(__name__)
 
-RAY_BLOCK = 64  # rays per block of rim_traces; a block's chains stay cache-sized
+# Rays per block of rim_traces; a block's chains stay cache-sized. It must be
+# even for rim_traces to match build_table bit for bit: OpenBLAS rounds the
+# last 1-4 columns of a product whose width is not a multiple of 8 differently,
+# and with 4 columns per ray only the last block, which ends like the whole
+# mesh, can have such a width.
+RAY_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -100,52 +115,136 @@ def degree_zero(pair: GeneratingPair, a0: complex, mesh: RadialMesh) -> np.ndarr
     return lam * pair.F + mu * pair.G
 
 
-def _check_finite(W: np.ndarray, degree: int, first_ray: int = 0):
-    bad = ~np.isfinite(W)
+def _check_finite(state: np.ndarray, degree: int, first_ray: int):
+    """Raise on the first non-finite entry of a (steps, 2, seeds, rays) state, by ray then step."""
+    bad = ~np.isfinite(state)
     if bad.any():
-        r, s = np.argwhere(bad)[0]
+        r, s = np.argwhere(bad.any(axis=(1, 2)).T)[0]
         raise NumericalError(f"non-finite formal power value at degree {degree}, "
                              f"ray {first_ray + r}, step {s}")
 
 
-def formal_power_fields(seq: GeneratingSequence, mesh: RadialMesh, N: int,
-                        seed: complex, rule: str = "cubic", first_ray: int = 0) -> np.ndarray:
-    """Pair-0 formal powers Z^(0..N)(seed, z; z0) as an (N+1, P, S+1) array.
+def _step_coefficients(pk: np.ndarray, pj: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """Integrand coefficients (S+1, 2, 2, P) of a chain step from pair p_k to pair p_j.
 
-    ``first_ray`` is the index of the mesh's first ray in a larger mesh it
-    was sliced from; error messages report rays by that global index.
+    With W = pk A + i B / pk and span = sr + i si, the two real integrands of
+    the pair-j integral are A pk sr/pj - B si/(pk pj) and A pk pj si + B pj sr/pk;
+    ``pk`` and ``pj`` are (P, S+1).
     """
+    pk, pj = pk.T, pj.T
+    sr, si = span.real, span.imag
+    return np.moveaxis([[pk * sr / pj, -si / (pk * pj)], [pk * pj * si, pj * sr / pk]], 2, 0)
+
+
+class _Chains:
+    """The formal-power chains of several seeds, run together on one mesh.
+
+    The state holds the real running integrals (A, B) of every chain, steps
+    first, as a (L, 2, seeds, P) array: W = p A + i B / p for the pair p
+    of the current degree (L - 1 >= S steps pad the last quadrature chunk).
+    Each degree forms both integrands of every chain from the state and
+    integrates them in one product, which writes straight into the state.
+    ``ps`` holds the p field (P, S+1) of each pair of the sequence's period;
+    ``first_ray`` is the index of the mesh's first ray in a larger mesh it
+    was sliced from, by which error messages report rays.
+    """
+
+    def __init__(self, ps: list, mesh: RadialMesh, seeds, rule: str = "cubic",
+                 first_ray: int = 0):
+        try:
+            op = mesh.chunk_ops[rule]
+        except KeyError:
+            raise ValidationError(f"unknown quadrature rule {rule!r}") from None
+        C, _, b = op.shape
+        self.ps, self.mesh, self.seeds, self.first_ray = ps, mesh, seeds, first_ray
+        S = mesh.step_count
+        self.state = np.empty((1 + C * b, 2, len(seeds), mesh.ray_count))
+        # Each chunk's operator is re-indexed from the mesh's window, clipped
+        # at both ends of the ray, to a window at the fixed stride b over an
+        # integrand buffer with zero rows around steps 0..S, so that the
+        # windows are views of the buffer rather than a gathered copy.
+        offset = mesh.chunk_nodes - b * np.arange(C)[:, None]   # node - c b
+        used = op.any(axis=2)
+        lo = offset[used].min()
+        width = offset[used].max() - lo + 1
+        chunk, row = np.nonzero(used)
+        self.op = np.zeros((C, b, width))          # chunk c: window rows -> b prefix sums
+        self.op[chunk, :, offset[chunk, row] - lo] = op[chunk, row]
+        buffer = np.zeros(((C - 1) * b + width, self.state[0].size))
+        self.integrands = buffer[-lo:S + 1 - lo].reshape((S + 1,) + self.state.shape[1:])
+        self.windows = sliding_window_view(buffer, width, axis=0)[::b].transpose(0, 2, 1)
+        self.coefficients = {}
+
+    def powers(self, N: int):
+        """Yield (d, A, B) at each pair-0 degree d <= N, A and B (S+1, seeds, P).
+
+        Z^(d)(seed) = p A + i B / p with the pair-0 p, steps first; A and B
+        are views of the state, which the next step overwrites.
+        """
+        k, S = len(self.ps), self.mesh.step_count
+        for start in range(min(k, N + 1)):
+            # the chain seeded at pair index `start` delivers the pair-0 powers of
+            # degrees d with (start - d) % k == 0, the last of them N - (N - start) % k;
+            # its degree-0 power lambda p + i mu / p has lambda = Re a0 / p0, mu = p0 Im a0
+            p0 = self.ps[start % k][0, 0]
+            self.state[:] = np.array([[complex(a).real / p0 for a in self.seeds],
+                                      [complex(a).imag * p0 for a in self.seeds]])[:, :, None]
+            if start % k == 0:
+                yield 0, self.state[:S + 1, 0], self.state[:S + 1, 1]
+            for d in range(1, N - (N - start) % k + 1):
+                pair = ((start - d + 1) % k, (start - d) % k)
+                self.step(pair, d)
+                _check_finite(self.state[:S + 1], d, self.first_ray)
+                if pair[1] == 0:
+                    yield d, self.state[:S + 1, 0], self.state[:S + 1, 1]
+
+    def step(self, pair: tuple, d: int):
+        """Advance every chain to degree d: d times the integral, with the pair of
+        index ``pair[1]``, of the state, whose power carries pair index ``pair[0]``."""
+        if pair not in self.coefficients:
+            self.coefficients[pair] = _step_coefficients(self.ps[pair[0]], self.ps[pair[1]],
+                                                         self.mesh.span)
+        np.einsum("scir,sinr->scnr", self.coefficients[pair],
+                  self.state[:len(self.integrands)], out=self.integrands)
+        Y = self.state[1:].reshape(self.op.shape[:2] + (-1,))    # (C, b, columns)
+        np.matmul(d * self.op, self.windows, out=Y)
+        Y[1:] += np.cumsum(Y[:-1, -1:], axis=0)                   # carry the chunk totals
+        self.state[0] = 0.0
+
+
+def _power_tables(seq: GeneratingSequence, mesh: RadialMesh, N: int, seeds,
+                  rule: str = "cubic") -> np.ndarray:
+    """Pair-0 formal powers of every seed, as a (seeds, N+1, P, S+1) array."""
     if N < 0:
         raise ValidationError(f"N must be non-negative, got {N}")
-    k = seq.period
-    out = np.empty((N + 1,) + mesh.nodes.shape, dtype=complex)
-    for start in range(min(k, N + 1)):
-        # the chain seeded at pair index `start` delivers the pair-0 powers of
-        # degrees d with (start - d) % k == 0, the last of them N - (N - start) % k
-        W = degree_zero(seq.pair_for(start), seed, mesh)
-        if start % k == 0:
-            out[0] = W
-        for d in range(1, N - (N - start) % k + 1):
-            W = d * fg_integral(W, seq.pair_for(start - d), mesh, rule=rule)
-            _check_finite(W, d, first_ray)
-            if (start - d) % k == 0:
-                out[d] = W
+    out = np.empty((len(seeds), N + 1) + mesh.nodes.shape, dtype=complex)
+    p = seq.pair_for(0).F.real.T[:, None, :]
+    for d, A, B in _Chains([pair.F.real for pair in seq.pairs], mesh, seeds, rule).powers(N):
+        Z = out[:, d].transpose(2, 0, 1)                         # (S+1, seeds, P) view
+        np.multiply(A, p, out=Z.real)
+        np.divide(B, p, out=Z.imag)
     return out
+
+
+def formal_power_fields(seq: GeneratingSequence, mesh: RadialMesh, N: int,
+                        seed: complex, rule: str = "cubic") -> np.ndarray:
+    """Pair-0 formal powers Z^(0..N)(seed, z; z0) as an (N+1, P, S+1) array."""
+    return _power_tables(seq, mesh, N, (seed,), rule)[0]
 
 
 def build_table(seq: GeneratingSequence, mesh: RadialMesh, N: int,
                 rule: str = "cubic") -> FormalPowerTable:
-    """Build the full table for seeds 1 and i."""
-    Z1 = formal_power_fields(seq, mesh, N, 1.0, rule=rule)
-    Zi = formal_power_fields(seq, mesh, N, 1j, rule=rule)
+    """Build the full table for seeds 1 and i, both seeds' chains in one pass."""
+    Z1, Zi = _power_tables(seq, mesh, N, (1.0, 1j), rule)
     return FormalPowerTable(N=N, z0=mesh.z0, mesh=mesh, Z1=Z1, Zi=Zi)
 
 
 def ray_workers(environ=os.environ) -> int:
     """Worker count for ``rim_traces``: the ``--threads`` cap, clamped to the usable cores.
 
-    The cap is read from OMP_NUM_THREADS, which the console script sets for
-    ``--threads K``; unset, invalid or 0 means every usable core.
+    The cap is read from OMP_NUM_THREADS, which the console script and
+    ``python -m fpeit`` set for ``--threads K``; unset, invalid or 0 means
+    every usable core.
     """
     cores = len(os.sched_getaffinity(0))
     try:
@@ -160,25 +259,25 @@ def rim_traces(seq: GeneratingSequence, mesh: RadialMesh, N: int,
     """Raw boundary traces (2N+1, P) of the table on ``mesh``, without the table.
 
     Equals ``boundary_system(build_table(seq, mesh, N, rule)).raw`` bit for
-    bit. Each block of RAY_BLOCK rays runs both seed chains on its slice of
-    the mesh and sequence, writes its rim traces into its own columns and is
-    dropped; blocks run on ``ray_workers()`` threads (numpy releases the GIL
-    in the pair-integral kernels).
+    bit. Each block of RAY_BLOCK rays runs the chains of both seeds on its
+    slice of the mesh and of the p fields, keeps only Re Z = p A at the rim
+    and is dropped; blocks run on ``ray_workers()`` threads (numpy releases
+    the GIL in the kernels).
     """
     raw = np.empty((2 * N + 1, mesh.ray_count))
+    ps = [pair.F.real for pair in seq.pairs]
 
     def build_block(first: int):
         rays = slice(first, first + RAY_BLOCK)
         block_mesh = replace(mesh, theta=mesh.theta[rays], nodes=mesh.nodes[rays],
                              span=mesh.span[rays],
                              boundary_weights=mesh.boundary_weights[rays])
-        block_seq = GeneratingSequence(period=seq.period, pairs=tuple(
-            GeneratingPair(F=pair.F[rays], G=pair.G[rays], p_fn=pair.p_fn)
-            for pair in seq.pairs))
-        Z1 = formal_power_fields(block_seq, block_mesh, N, 1.0, rule=rule, first_ray=first)
-        Zi = formal_power_fields(block_seq, block_mesh, N, 1j, rule=rule, first_ray=first)
-        table = FormalPowerTable(N=N, z0=mesh.z0, mesh=block_mesh, Z1=Z1, Zi=Zi)
-        raw[:, rays] = boundary_system(table).raw
+        p_rim = ps[0][rays, -1]
+        chains = _Chains([p[rays] for p in ps], block_mesh, (1.0, 1j), rule, first)
+        for d, A, _ in chains.powers(N):
+            raw[d, rays] = A[-1, 0] * p_rim
+            if d:
+                raw[N + d, rays] = A[-1, 1] * p_rim
 
     with ThreadPoolExecutor(max_workers=ray_workers()) as pool:
         # reading every result re-raises the error of a failed block here

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
@@ -56,6 +57,17 @@ class RunConfig:
     thresholds: dict = dc_field(default_factory=dict)
 
     def validate(self):
+        for key in ("N", "P", "S", "Q"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{key} must be an integer, got {value!r}")
+        for key in ("rim_grading", "fd_h", "drop_tol"):
+            value = getattr(self, key)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value) or value <= 0):
+                raise ValidationError(f"{key} must be a finite number > 0, got {value!r}")
+        if self.drop_tol >= 1:
+            raise ValidationError(f"drop_tol must be below 1, got {self.drop_tol!r}")
         if self.N < 1:
             raise ValidationError(f"N must be >= 1, got {self.N}")
         if self.S < 50:

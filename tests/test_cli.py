@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import runpy
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -43,6 +46,21 @@ def test_config_validation_errors():
         config_from_dict({"N": 5})  # no conductivity / boundary data
 
 
+@pytest.mark.parametrize("bad", [{"N": 2.5}, {"P": "35"}, {"N": True}, {"S": 60.0},
+                                 {"fd_h": 0}, {"rim_grading": -1.0},
+                                 {"drop_tol": float("nan")}, {"drop_tol": -1},
+                                 {"drop_tol": "nan"}, {"drop_tol": 1.0}],
+                         ids=lambda bad: "-".join(f"{k}={v!r}" for k, v in bad.items()))
+def test_bad_numeric_config_exits_2(tmp_path, capsys, bad):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"preset": "constant", "N": 2, "P": 6, "S": 50, **bad}))
+    for command in ("solve", "verify"):
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid input" in err and next(iter(bad)) in err
+        assert "Traceback" not in err
+
+
 def test_solve_writes_artifacts(tmp_path):
     cfg = small_rings_config(interior=True, dump_powers=True)
     assert run_solve(cfg, tmp_path) == 0
@@ -55,6 +73,9 @@ def test_solve_writes_artifacts(tmp_path):
     assert report["error"] < 1e-10
     assert report["sequence_period"] == 1
     assert 0.0 <= report["diagnostics"]["orthonormality_defect"] <= 1e-10
+    assert cfg.drop_tol < report["diagnostics"]["min_kept_norm_ratio"] <= 1.0
+    # the rings data has no content past degree 3
+    assert 0.0 <= report["diagnostics"]["coefficient_tail"] <= 1e-10
     assert "dense_traces" in report["timings"]
     assert 0 <= report["timings"]["write"] <= report["wall_time"]
     header = (tmp_path / "boundary_fit.csv").read_text().splitlines()[0]
@@ -235,6 +256,27 @@ def test_explicit_threads_override_inherited_caps(monkeypatch):
         monkeypatch.setenv(var, "8")
     _entry._apply_threads(1)
     assert all(os.environ[var] == "1" for var in _entry._THREAD_VARS)
+
+
+def test_python_m_fpeit_applies_threads(tmp_path, monkeypatch):
+    for var in _entry._THREAD_VARS:
+        monkeypatch.setenv(var, "8")  # restored after the test
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"preset": "constant", "N": 2, "P": 6, "S": 50}))
+    monkeypatch.setattr(sys, "argv", ["fpeit", "powers", "--config", str(cfg_path),
+                                      "--threads", "1", "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("fpeit", run_name="__main__")
+    assert done.value.code == 0
+    assert os.environ["OMP_NUM_THREADS"] == "1"
+    assert (tmp_path / "powers.csv").exists()
+
+
+def test_importing_the_entry_point_loads_no_numpy():
+    # --threads only caps BLAS if it is applied before numpy loads
+    code = "import sys, fpeit._entry; sys.exit('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 def test_negative_threads_rejected(tmp_path, capsys):

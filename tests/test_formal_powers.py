@@ -20,7 +20,7 @@ from fpeit.formal_powers import (
     rim_traces,
     write_powers_csv,
 )
-from fpeit.pseudoanalytic import build_sequence, pair_from_p, radial_mesh
+from fpeit.pseudoanalytic import build_sequence, fg_integral, pair_from_p, radial_mesh
 from fpeit.verification import sinusoidal_case
 
 
@@ -97,22 +97,60 @@ def test_linearity_in_the_seed():
 
 def test_chains_stop_at_their_last_kept_degree(monkeypatch):
     # period 2, N = 5: the start-0 chain keeps degrees 0, 2, 4 and the start-1
-    # chain 1, 3, 5, so 4 + 5 integrations per seed
+    # chain 1, 3, 5, so 4 + 5 integrations, each one step of the stacked seeds
     mesh = radial_mesh(10, 60)
     seq = build_sequence(sinusoidal_case(math.pi).field, mesh)
     assert seq.period == 2
     longer = formal_power_fields(seq, mesh, 6, 1.0)
     calls = []
-    real = formal_powers.fg_integral
+    real = formal_powers._Chains.step
 
-    def counting(W, pair, mesh, rule="cubic"):
+    def counting(self, pair, d):
         calls.append(1)
-        return real(W, pair, mesh, rule=rule)
+        return real(self, pair, d)
 
-    monkeypatch.setattr(formal_powers, "fg_integral", counting)
+    monkeypatch.setattr(formal_powers._Chains, "step", counting)
     Z = formal_power_fields(seq, mesh, 5, 1.0)
     assert len(calls) == 9
     np.testing.assert_array_equal(Z, longer[:6])
+
+
+def reference_formal_power_fields(seq, mesh, N, seed, rule="cubic"):
+    """The complex chain the stacked real chains replaced: one pair integral per degree."""
+    k = seq.period
+    out = np.empty((N + 1,) + mesh.nodes.shape, dtype=complex)
+    for start in range(min(k, N + 1)):
+        W = degree_zero(seq.pair_for(start), seed, mesh)
+        if start % k == 0:
+            out[0] = W
+        for d in range(1, N - (N - start) % k + 1):
+            W = d * fg_integral(W, seq.pair_for(start - d), mesh, rule=rule)
+            if (start - d) % k == 0:
+                out[d] = W
+    return out
+
+
+DISK_SCENE = {"background": 10.0,
+              "shapes": [{"kind": "disk", "cx": 0.3, "cy": -0.2, "r2": 0.1, "value": 60.0}]}
+
+
+@pytest.mark.parametrize("field, period", [(sinusoidal_case(math.pi).field, 2),
+                                           (scene_from_dict(DISK_SCENE), 1)],
+                         ids=["sinusoidal", "disk-scene"])
+@pytest.mark.parametrize("rule", ["cubic", "trapezoid"])
+# S = 301 is not a multiple of the quadrature chunk
+@pytest.mark.parametrize("S, grading", [(60, 1.0), (60, 2.0), (301, 1.0)],
+                         ids=["S60", "S60-graded", "S301"])
+def test_stacked_chains_match_complex_chain(field, period, rule, S, grading):
+    mesh = radial_mesh(13, S, rim_grading=grading)
+    seq = build_sequence(field, mesh)
+    assert seq.period == period
+    table = build_table(seq, mesh, 7, rule=rule)
+    for seed, Z in ((1.0, table.Z1), (1j, table.Zi)):
+        ref = reference_formal_power_fields(seq, mesh, 7, seed, rule)
+        scale = np.abs(ref).max()
+        assert np.abs(Z - ref).max() <= 1e-13 * scale
+        assert np.abs(formal_power_fields(seq, mesh, 7, seed, rule=rule) - ref).max() <= 1e-13 * scale
 
 
 def test_linearity_random_seeds():
@@ -195,10 +233,6 @@ def test_powers_csv_dump(tmp_path):
     np.testing.assert_array_equal(back[:, 6], Z.imag.ravel())
 
 
-DISK_SCENE = {"background": 10.0,
-              "shapes": [{"kind": "disk", "cx": 0.3, "cy": -0.2, "r2": 0.1, "value": 60.0}]}
-
-
 @pytest.mark.parametrize("field, period", [(sinusoidal_case(math.pi).field, 2),
                                            (scene_from_dict(DISK_SCENE), 1)],
                          ids=["sinusoidal", "disk-scene"])
@@ -213,6 +247,16 @@ def test_rim_traces_match_boundary_system(field, period, rays, grading):
                                   boundary_system(build_table(seq, mesh, 6)).raw)
 
 
+def test_rim_traces_do_not_depend_on_the_worker_count(monkeypatch):
+    mesh = radial_mesh(150, 60)
+    seq = build_sequence(sinusoidal_case(math.pi).field, mesh)
+    traces = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("OMP_NUM_THREADS", workers)
+        traces.append(rim_traces(seq, mesh, 6))
+    np.testing.assert_array_equal(traces[0], traces[1])
+
+
 def test_ray_workers_clamps_the_thread_cap():
     cores = len(os.sched_getaffinity(0))
     assert ray_workers({"OMP_NUM_THREADS": "1"}) == 1
@@ -225,16 +269,15 @@ BAD_RAY = RAY_BLOCK + 5  # a ray of the second block
 
 
 def poison_ray(monkeypatch, Q):
-    """Make fg_integral return a NaN on ray BAD_RAY of a Q-ray mesh."""
-    real = formal_powers.fg_integral
+    """Make every chain step leave a NaN at step 3 of ray BAD_RAY of a Q-ray mesh."""
+    real = formal_powers._Chains.step
     bad_theta = (2.0 * math.pi * np.arange(Q) / Q)[BAD_RAY]
 
-    def fg_integral(W, pair, mesh, rule="cubic"):
-        out = real(W, pair, mesh, rule=rule)
-        out[mesh.theta == bad_theta, 3] = np.nan
-        return out
+    def step(self, pair, d):
+        real(self, pair, d)
+        self.state[3, ..., np.flatnonzero(self.mesh.theta == bad_theta)] = np.nan
 
-    monkeypatch.setattr(formal_powers, "fg_integral", fg_integral)
+    monkeypatch.setattr(formal_powers._Chains, "step", step)
 
 
 def test_rim_traces_report_the_global_ray(monkeypatch):
