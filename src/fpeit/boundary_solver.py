@@ -20,6 +20,7 @@ from .formal_powers import (
     FormalPowerTable,
     boundary_system,
     build_table,
+    rim_fit,
     rim_traces,
 )
 from .pseudoanalytic import GeneratingSequence, RadialMesh, build_sequence, radial_mesh
@@ -188,18 +189,18 @@ def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 
 
     ``data_fn`` maps boundary angles to imposed Dirichlet values. The
     residual norm is integrated on Q equally spaced boundary points; with
-    ``dense_error`` (default) the fitted trace is re-evaluated there from the
-    raw traces rebuilt on a Q-ray mesh (``rim_traces``: ray blocks, rim
-    column only), otherwise it is upsampled from the fit nodes by periodic
-    linear interpolation.
+    ``dense_error`` (default) the fitted trace is re-evaluated there on a
+    Q-ray mesh (``rim_fit``: one Horner chain per ray block), otherwise it
+    is upsampled from the fit nodes by periodic linear interpolation.
 
     ``fit_quadrature`` selects where the coefficients are determined:
     ``"nodes"`` projects onto the orthonormal basis at the P fit nodes;
     ``"dense"`` solves the least-squares problem against the Q-point dense
     traces instead, which discretizes the boundary-integral fit criterion
-    directly. The dense fit matters when P barely resolves the degrees in
-    play (an interpolatory node fit can hide aliased high-degree content
-    between the nodes); it requires ``dense_error``.
+    directly, from every raw trace rebuilt on the Q-ray mesh (``rim_traces``).
+    The dense fit matters when P barely resolves the degrees in play (an
+    interpolatory node fit can hide aliased high-degree content between the
+    nodes); it requires ``dense_error``.
     """
     if N < 1:
         raise ValidationError(f"N must be >= 1, got {N}")
@@ -226,11 +227,17 @@ def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 
     b, fitted = fit_coefficients(basis, data_P)
     timings["fit"] = time.monotonic() - t1
 
-    raw_q = None
     if dense_error:
         t2 = time.monotonic()
         mesh_q = radial_mesh(Q, S, rim_grading=rim_grading)
-        raw_q = rim_traces(build_sequence(field, mesh_q), mesh_q, N, rule=rule)
+        seq_q = build_sequence(field, mesh_q)
+        if fit_quadrature == "dense":
+            raw_q = rim_traces(seq_q, mesh_q, N, rule=rule)
+        else:
+            # raw coefficients by label (the reserved label N+1 is 0): a_n = c_n + i c_(N+1+n)
+            c_full = np.zeros(2 * N + 2)
+            c_full[system.labels] = basis.transform.T @ b
+            fit_q = rim_fit(seq_q, mesh_q, N, c_full[:N + 1] + 1j * c_full[N + 1:], rule=rule)
         timings["dense_traces"] = time.monotonic() - t2
 
     t3 = time.monotonic()
@@ -242,9 +249,9 @@ def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 
         fitted = b @ basis.functions
     e_fit = error_norm(data_P, fitted, weights=mesh.boundary_weights)
     c = basis.transform.T @ b
-    if dense_error:
+    if fit_quadrature == "dense":
         fit_q = c @ raw_q
-    else:
+    elif not dense_error:
         fit_q = upsample_periodic_linear(mesh.theta, fitted, theta_q)
     E = error_norm(data_q, fit_q)
     timings["error"] = time.monotonic() - t3

@@ -17,12 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .boundary_solver import reconstruct_interior, solve_dirichlet
+from .boundary_solver import error_norm, reconstruct_interior, solve_dirichlet
 from .conductivity import AnalyticSeparable
 from .errors import DomainError, NumericalError, ValidationError
 from .formal_powers import build_table, pseudoanalyticity_check, write_powers_csv
 from .formal_powers import cells, rows, write_csv
 from .presets import (
+    DEFAULT_THRESHOLDS,
     PRESET_NAMES,
     RunConfig,
     build_boundary_data,
@@ -88,12 +89,16 @@ def run_solve(config: RunConfig, out_dir) -> int:
     significant = int(np.sum(np.abs(fit.coefficients) > 1e-3))
     U = res.basis.functions
     defect = float(np.max(np.abs((U * res.basis.weights) @ U.T - np.eye(len(U)))))
+    E_half = error_norm(res.data_dense[::2], res.fit_dense[::2])  # even dense points: the Q/2 grid
+    gap = abs(fit.error - E_half) / fit.error if config.Q % 2 == 0 and fit.error > 0 else None
     top = np.isin(fit.labels, [config.N - 1, config.N, 2 * config.N, 2 * config.N + 1])
     diagnostics = {
         "orthonormality_defect": defect,
         "min_kept_norm_ratio": float(res.basis.norm_ratios.min()),
         # labels of the seed-1 and seed-i powers of the top two degrees
         "coefficient_tail": float(np.linalg.norm(fit.coefficients[top])),
+        # how many digits of E are quadrature error
+        "error_quadrature_gap": gap,
     }
     report = {
         "preset": config.preset,
@@ -117,15 +122,6 @@ def run_solve(config: RunConfig, out_dir) -> int:
     return 0
 
 
-_DEFAULT_THRESHOLDS = {
-    "divergence": 1e-3,
-    "vekua_ratio": 1.2,          # residual decrease factor under mesh doubling
-    "successor_mesh_ratio": 1.2,
-    "successor_cartesian": 1e-6,
-    "residual_floor": 1e-10,     # below this a residual is rounding noise, no ratio asked
-}
-
-
 def run_verify(config: RunConfig, out_dir) -> int:
     """Residual report for a named exact case (or any smooth-sigma scenario).
 
@@ -142,7 +138,7 @@ def run_verify(config: RunConfig, out_dir) -> int:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    thresholds = dict(_DEFAULT_THRESHOLDS)
+    thresholds = dict(DEFAULT_THRESHOLDS)
     thresholds.update(config.thresholds)
     floor = thresholds["residual_floor"]
     field = build_field(config)

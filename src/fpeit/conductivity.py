@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RegularGridInterpolator
 
 from .errors import DomainError, ValidationError
 
@@ -240,6 +239,8 @@ def _clamped_linear(ys, vals):
 
 
 def _clamped_spline(ys, vals):
+    from scipy.interpolate import CubicSpline  # scipy loads only for cubic interpolants
+
     spl = CubicSpline(ys, vals)
 
     def f(y):
@@ -474,6 +475,8 @@ def load_conductivity_csv(path) -> LimitCase:
     grid = data[order, 2].reshape(len(xs), len(ys))
     if np.any(grid <= 0) or not np.all(np.isfinite(grid)):
         raise ValidationError("conductivity CSV contains non-positive or non-finite values")
+    from scipy.interpolate import RegularGridInterpolator  # scipy loads only for CSV grids
+
     interp = RegularGridInterpolator((xs, ys), grid, method="linear",
                                      bounds_error=False, fill_value=None)
 

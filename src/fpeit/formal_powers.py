@@ -22,6 +22,10 @@ so they are built once per mesh and shared by every seed. The chains of
 all requested seeds are stacked in one state and advance together, one
 blocked quadrature product per degree, with the degree folded into the
 quadrature operator.
+
+Z^(n)(a) is real-linear in the seed a, and so is each pair integral, so a
+combination sum_n Z^(n)(a_n) is one chain of N steps, run by Horner's rule
+from degree N down (``rim_fit``).
 """
 
 from __future__ import annotations
@@ -184,11 +188,9 @@ class _Chains:
         k, S = len(self.ps), self.mesh.step_count
         for start in range(min(k, N + 1)):
             # the chain seeded at pair index `start` delivers the pair-0 powers of
-            # degrees d with (start - d) % k == 0, the last of them N - (N - start) % k;
-            # its degree-0 power lambda p + i mu / p has lambda = Re a0 / p0, mu = p0 Im a0
-            p0 = self.ps[start % k][0, 0]
-            self.state[:] = np.array([[complex(a).real / p0 for a in self.seeds],
-                                      [complex(a).imag * p0 for a in self.seeds]])[:, :, None]
+            # degrees d with (start - d) % k == 0, the last of them N - (N - start) % k
+            self.state[:] = 0.0
+            self.add_degree_zero(start % k, self.seeds)
             if start % k == 0:
                 yield 0, self.state[:S + 1, 0], self.state[:S + 1, 1]
             for d in range(1, N - (N - start) % k + 1):
@@ -197,6 +199,13 @@ class _Chains:
                 _check_finite(self.state[:S + 1], d, self.first_ray)
                 if pair[1] == 0:
                     yield d, self.state[:S + 1, 0], self.state[:S + 1, 1]
+
+    def add_degree_zero(self, j: int, seeds):
+        """Add to each chain the degree-0 power lambda p + i mu / p of its seed a with
+        the pair p of index j: lambda = Re a / p(z0), mu = p(z0) Im a."""
+        p0 = self.ps[j][0, 0]
+        self.state += np.array([[complex(a).real / p0 for a in seeds],
+                                [complex(a).imag * p0 for a in seeds]])[:, :, None]
 
     def step(self, pair: tuple, d: int):
         """Advance every chain to degree d: d times the integral, with the pair of
@@ -254,35 +263,67 @@ def ray_workers(environ=os.environ) -> int:
     return min(cap, cores) if cap > 0 else cores
 
 
+def _over_ray_blocks(seq: GeneratingSequence, mesh: RadialMesh, seeds, rule: str, run):
+    """Call ``run(rays, chains)`` on ``ray_workers()`` threads for every block of RAY_BLOCK
+    rays, ``chains`` holding the chains of ``seeds`` on the block's slice of the mesh."""
+    ps = [pair.F.real for pair in seq.pairs]
+
+    def block(first: int):
+        rays = slice(first, first + RAY_BLOCK)
+        block_mesh = replace(mesh, theta=mesh.theta[rays], nodes=mesh.nodes[rays],
+                             span=mesh.span[rays],
+                             boundary_weights=mesh.boundary_weights[rays])
+        run(rays, _Chains([p[rays] for p in ps], block_mesh, seeds, rule, first))
+
+    with ThreadPoolExecutor(max_workers=ray_workers()) as pool:
+        # reading every result re-raises the error of a failed block here
+        list(pool.map(block, range(0, mesh.ray_count, RAY_BLOCK)))
+
+
 def rim_traces(seq: GeneratingSequence, mesh: RadialMesh, N: int,
                rule: str = "cubic") -> np.ndarray:
     """Raw boundary traces (2N+1, P) of the table on ``mesh``, without the table.
 
     Equals ``boundary_system(build_table(seq, mesh, N, rule)).raw`` bit for
-    bit. Each block of RAY_BLOCK rays runs the chains of both seeds on its
-    slice of the mesh and of the p fields, keeps only Re Z = p A at the rim
-    and is dropped; blocks run on ``ray_workers()`` threads (numpy releases
-    the GIL in the kernels).
+    bit. Each ray block runs the chains of both seeds, keeps only
+    Re Z = p A at the rim and is dropped.
     """
     raw = np.empty((2 * N + 1, mesh.ray_count))
-    ps = [pair.F.real for pair in seq.pairs]
+    p_rim = seq.pair_for(0).F.real[:, -1]
 
-    def build_block(first: int):
-        rays = slice(first, first + RAY_BLOCK)
-        block_mesh = replace(mesh, theta=mesh.theta[rays], nodes=mesh.nodes[rays],
-                             span=mesh.span[rays],
-                             boundary_weights=mesh.boundary_weights[rays])
-        p_rim = ps[0][rays, -1]
-        chains = _Chains([p[rays] for p in ps], block_mesh, (1.0, 1j), rule, first)
+    def traces(rays: slice, chains: _Chains):
         for d, A, _ in chains.powers(N):
-            raw[d, rays] = A[-1, 0] * p_rim
+            raw[d, rays] = A[-1, 0] * p_rim[rays]
             if d:
-                raw[N + d, rays] = A[-1, 1] * p_rim
+                raw[N + d, rays] = A[-1, 1] * p_rim[rays]
 
-    with ThreadPoolExecutor(max_workers=ray_workers()) as pool:
-        # reading every result re-raises the error of a failed block here
-        list(pool.map(build_block, range(0, mesh.ray_count, RAY_BLOCK)))
+    _over_ray_blocks(seq, mesh, (1.0, 1j), rule, traces)
     return raw
+
+
+def rim_fit(seq: GeneratingSequence, mesh: RadialMesh, N: int, a,
+            rule: str = "cubic") -> np.ndarray:
+    """Re sum_n Z^(n)(a_n) at the rim of ``mesh``, a (P,) array, without the traces.
+
+    The sum is one chain, run by Horner's rule on a single-seed state per
+    ray block: Z0(a_0) + 1 I_0(Z0(a_1) + 2 I_1(Z0(a_2) + ...)), with Z0(a)
+    at pair index j the degree-0 power of seed a and I_j the pair-j integral.
+    """
+    fit = np.empty(mesh.ray_count)
+    k, S = seq.period, mesh.step_count
+    p_rim = seq.pair_for(0).F.real[:, -1]
+
+    def horner(rays: slice, chains: _Chains):
+        chains.state[:] = 0.0
+        chains.add_degree_zero(N % k, (a[N],))
+        for d in range(N, 0, -1):
+            chains.step((d % k, (d - 1) % k), d)
+            _check_finite(chains.state[:S + 1], d, chains.first_ray)
+            chains.add_degree_zero((d - 1) % k, (a[d - 1],))
+        fit[rays] = chains.state[S, 0, 0] * p_rim[rays]
+
+    _over_ray_blocks(seq, mesh, (a[N],), rule, horner)
+    return fit
 
 
 def pseudoanalyticity_check(table: FormalPowerTable, p: np.ndarray,

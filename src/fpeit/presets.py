@@ -33,6 +33,15 @@ TRIANGLE_VERTICES = tuple(
     for r, a in ((0.6, math.pi / 4), (0.35, 3 * math.pi / 4), (0.6, 5 * math.pi / 4))
 )
 
+# verify thresholds; a config's "thresholds" may override any of them
+DEFAULT_THRESHOLDS = {
+    "divergence": 1e-3,
+    "vekua_ratio": 1.2,          # residual decrease factor under mesh doubling
+    "successor_mesh_ratio": 1.2,
+    "successor_cartesian": 1e-6,
+    "residual_floor": 1e-10,     # below this a residual is rounding noise, no ratio asked
+}
+
 
 @dataclass
 class RunConfig:
@@ -66,6 +75,16 @@ class RunConfig:
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not math.isfinite(value) or value <= 0):
                 raise ValidationError(f"{key} must be a finite number > 0, got {value!r}")
+        for key in ("dense_error", "interior", "dump_powers", "corner_snap"):
+            if not isinstance(getattr(self, key), bool):
+                raise ValidationError(f"{key} must be true or false, got {getattr(self, key)!r}")
+        if not isinstance(self.thresholds, dict) or set(self.thresholds) - set(DEFAULT_THRESHOLDS):
+            raise ValidationError(f"thresholds must map keys of {sorted(DEFAULT_THRESHOLDS)} "
+                                  f"to numbers, got {self.thresholds!r}")
+        for key, value in self.thresholds.items():
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValidationError(f"thresholds {key} must be a finite number, got {value!r}")
         if self.drop_tol >= 1:
             raise ValidationError(f"drop_tol must be below 1, got {self.drop_tol!r}")
         if self.N < 1:

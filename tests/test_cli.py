@@ -49,7 +49,14 @@ def test_config_validation_errors():
 @pytest.mark.parametrize("bad", [{"N": 2.5}, {"P": "35"}, {"N": True}, {"S": 60.0},
                                  {"fd_h": 0}, {"rim_grading": -1.0},
                                  {"drop_tol": float("nan")}, {"drop_tol": -1},
-                                 {"drop_tol": "nan"}, {"drop_tol": 1.0}],
+                                 {"drop_tol": "nan"}, {"drop_tol": 1.0},
+                                 {"interior": "false"}, {"dense_error": 1},
+                                 {"dump_powers": None}, {"corner_snap": "yes"},
+                                 {"thresholds": {"divergence": "x"}},
+                                 {"thresholds": {"divergence": float("inf")}},
+                                 {"thresholds": {"divergence": True}},
+                                 {"thresholds": {"frobnicate": 1.0}},
+                                 {"thresholds": [1e-3]}],
                          ids=lambda bad: "-".join(f"{k}={v!r}" for k, v in bad.items()))
 def test_bad_numeric_config_exits_2(tmp_path, capsys, bad):
     cfg_path = tmp_path / "cfg.json"
@@ -76,6 +83,8 @@ def test_solve_writes_artifacts(tmp_path):
     assert cfg.drop_tol < report["diagnostics"]["min_kept_norm_ratio"] <= 1.0
     # the rings data has no content past degree 3
     assert 0.0 <= report["diagnostics"]["coefficient_tail"] <= 1e-10
+    # E sits at the rounding floor, so E_Q and E_(Q/2) agree only to its order
+    assert 0.0 <= report["diagnostics"]["error_quadrature_gap"] <= 1e3
     assert "dense_traces" in report["timings"]
     assert 0 <= report["timings"]["write"] <= report["wall_time"]
     header = (tmp_path / "boundary_fit.csv").read_text().splitlines()[0]
@@ -85,6 +94,21 @@ def test_solve_writes_artifacts(tmp_path):
     assert run_solve(small_rings_config(dense_error=False), tmp_path / "cheap") == 0
     cheap = json.loads((tmp_path / "cheap" / "report.json").read_text())
     assert "dense_traces" not in cheap["timings"]
+    assert run_solve(small_rings_config(Q=501), tmp_path / "odd") == 0
+    odd = json.loads((tmp_path / "odd" / "report.json").read_text())
+    assert odd["diagnostics"]["error_quadrature_gap"] is None
+
+
+def test_error_quadrature_gap_of_a_smooth_and_a_jump_case(tmp_path):
+    # the smooth sinusoidal fit is resolved by Q/2 points, the jump of disk-0.6 is not
+    gaps = {}
+    for name in ("sinusoidal", "disk-0.6"):
+        cfg = config_from_dict({"preset": name, "N": 8, "S": 101, "Q": 500})
+        assert run_solve(cfg, tmp_path / name) == 0
+        gaps[name] = json.loads((tmp_path / name / "report.json").read_text())[
+            "diagnostics"]["error_quadrature_gap"]
+    assert 0.0 <= gaps["sinusoidal"] <= 1e-8
+    assert 1e-4 <= gaps["disk-0.6"] <= 1.0
 
 
 def test_solve_deterministic(tmp_path):
@@ -275,6 +299,13 @@ def test_python_m_fpeit_applies_threads(tmp_path, monkeypatch):
 def test_importing_the_entry_point_loads_no_numpy():
     # --threads only caps BLAS if it is applied before numpy loads
     code = "import sys, fpeit._entry; sys.exit('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy loads only for cubic piecewise interpolants and CSV conductivities
+    code = "import sys, fpeit.cli; sys.exit('scipy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 

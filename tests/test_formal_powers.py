@@ -17,6 +17,7 @@ from fpeit.formal_powers import (
     formal_power_fields,
     pseudoanalyticity_check,
     ray_workers,
+    rim_fit,
     rim_traces,
     write_powers_csv,
 )
@@ -257,6 +258,39 @@ def test_rim_traces_do_not_depend_on_the_worker_count(monkeypatch):
     np.testing.assert_array_equal(traces[0], traces[1])
 
 
+def random_fit_coefficients(N, seed=5):
+    """Raw coefficients c over the 2N+1 traces and the seeds a_n = c_n + i c_(N+1+n)."""
+    c = np.random.default_rng(seed).standard_normal(2 * N + 1)
+    return c, c[:N + 1] + 1j * np.concatenate([[0.0], c[N + 1:]])
+
+
+@pytest.mark.parametrize("field, period", [(sinusoidal_case(math.pi).field, 2),
+                                           (scene_from_dict(DISK_SCENE), 1)],
+                         ids=["sinusoidal", "disk-scene"])
+@pytest.mark.parametrize("rule", ["cubic", "trapezoid"])
+@pytest.mark.parametrize("grading", [1.0, 2.0], ids=["uniform", "graded"])
+@pytest.mark.parametrize("N", [6, 7])
+def test_rim_fit_matches_combined_traces(field, period, rule, grading, N):
+    # 150 rays leave a ragged last block
+    mesh = radial_mesh(150, 60, rim_grading=grading)
+    seq = build_sequence(field, mesh)
+    assert seq.period == period
+    c, a = random_fit_coefficients(N)
+    ref = c @ rim_traces(seq, mesh, N, rule=rule)
+    assert np.abs(rim_fit(seq, mesh, N, a, rule=rule) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_rim_fit_does_not_depend_on_the_worker_count(monkeypatch):
+    mesh = radial_mesh(150, 60)
+    seq = build_sequence(sinusoidal_case(math.pi).field, mesh)
+    _, a = random_fit_coefficients(6)
+    fits = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("OMP_NUM_THREADS", workers)
+        fits.append(rim_fit(seq, mesh, 6, a))
+    np.testing.assert_array_equal(fits[0], fits[1])
+
+
 def test_ray_workers_clamps_the_thread_cap():
     cores = len(os.sched_getaffinity(0))
     assert ray_workers({"OMP_NUM_THREADS": "1"}) == 1
@@ -288,6 +322,14 @@ def test_rim_traces_report_the_global_ray(monkeypatch):
         rim_traces(seq, mesh, 3)
 
 
+def test_rim_fit_reports_the_global_ray(monkeypatch):
+    mesh = radial_mesh(150, 40)
+    seq = build_sequence(constant_field(1.0), mesh)
+    poison_ray(monkeypatch, 150)
+    with pytest.raises(NumericalError, match=f"ray {BAD_RAY}, step 3"):
+        rim_fit(seq, mesh, 3, random_fit_coefficients(3)[1])
+
+
 def test_solve_exits_3_on_a_block_failure(tmp_path, monkeypatch, capsys):
     poison_ray(monkeypatch, 150)
     cfg_path = tmp_path / "cfg.json"
@@ -296,3 +338,4 @@ def test_solve_exits_3_on_a_block_failure(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert f"ray {BAD_RAY}," in err
     assert "Traceback" not in err
+
