@@ -20,13 +20,12 @@ _EXPORTS = {
         "DomainError", "FpeitError", "NumericalError", "ValidationError",
     ),
     "pseudoanalytic": (
-        "CharacteristicCoefficients", "GeneratingPair", "GeneratingSequence",
-        "RadialMesh", "adjoint", "build_sequence", "characteristic_coefficients",
-        "fg_derivative", "fg_integral", "pair_from_p", "radial_mesh",
+        "GeneratingPair", "GeneratingSequence", "RadialMesh", "build_sequence",
+        "characteristic_coefficients", "fg_integral", "radial_mesh",
         "successor_residual", "successor_residual_mesh", "vekua_residual",
     ),
     "formal_powers": (
-        "FormalPowerTable", "build_table", "degree_zero", "formal_power_fields",
+        "FormalPowerTable", "build_table", "formal_power_fields",
         "pseudoanalyticity_check", "write_powers_csv",
     ),
     "boundary_solver": (

@@ -173,7 +173,7 @@ def run_verify(config: RunConfig, out_dir) -> int:
     succ_mesh = []
     for m, sq in zip(meshes, seqs):
         table = build_table(sq, m, Nv, rule=config.rule)
-        vekua.append(pseudoanalyticity_check(table, np.abs(sq.pair_for(0).F)))
+        vekua.append(pseudoanalyticity_check(table, sq.pair_for(0).p))
         succ_mesh.append(successor_residual_mesh(sq, m))
 
     limit_gap = seqs[0].period == 1 and not isinstance(field, AnalyticSeparable)

@@ -1,9 +1,11 @@
 """Recursive construction of formal powers on the radial mesh.
 
-A formal power of degree n is produced by seeding a degree-0 combination
-lambda*F + mu*G at the expansion center with the pair of index n (mod the
-sequence period) and applying the pair integral n times, descending to pair
-index 0 and multiplying by the degree at each step:
+Every generating pair is (p, i/p), held as its field p. A formal power of
+degree n with seed a is produced by seeding the degree-0 power
+lambda p + i mu / p, with the real constants lambda = Re a / p(z0) and
+mu = p(z0) Im a, at the pair of index n (mod the sequence period) and
+applying the pair integral n times, descending to pair index 0 and
+multiplying by the degree at each step:
 
     Z^(0) at pair index n  --int,(n-1 pair)-->  ...  --int,(0 pair)-->  Z^(n).
 
@@ -13,9 +15,9 @@ intermediate of that chain carries pair index (s - d) mod 2, which is 0
 exactly when d and s share parity. Two chains (one per parity) therefore
 produce the whole table in O(N) integrations per seed.
 
-The chains run in real arithmetic. For a pair (p, i/p) every power is
-W = p A + i B / p with two real fields A, B: the running integrals of the
-pair integral that produced it (for degree 0, the constants lambda, mu).
+The chains run in real arithmetic. Every power is W = p A + i B / p with
+two real fields A, B: the running integrals of the pair integral that
+produced it (for degree 0, the constants lambda, mu).
 The integrands of the next integral are linear in (A, B), with per-node
 coefficients that depend only on the two pairs involved and the ray span,
 so they are built once per mesh and shared by every seed. The chains of
@@ -39,12 +41,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericalError, ValidationError
-from .pseudoanalytic import (
-    GeneratingPair,
-    GeneratingSequence,
-    RadialMesh,
-    vekua_residual,
-)
+from .pseudoanalytic import GeneratingSequence, RadialMesh, _vekua_operator
 
 log = logging.getLogger(__name__)
 
@@ -100,23 +97,6 @@ def boundary_system(table: FormalPowerTable) -> BoundarySystem:
                           weights=table.mesh.boundary_weights.copy(),
                           raw=np.asarray(rows, dtype=float),
                           labels=np.asarray(labels, dtype=int))
-
-
-def degree_zero(pair: GeneratingPair, a0: complex, mesh: RadialMesh) -> np.ndarray:
-    """Degree-0 power lambda*F + mu*G with real lambda, mu matching a0 at the center.
-
-    The 2x2 real system is [Re F, Re G; Im F, Im G] (lambda, mu)^T =
-    (Re a0, Im a0)^T at the center node; its determinant is Im(conj(F) G) > 0,
-    so the pair condition guarantees solvability.
-    """
-    F0 = complex(pair.F[0, 0])
-    G0 = complex(pair.G[0, 0])
-    M = np.array([[F0.real, G0.real], [F0.imag, G0.imag]], dtype=float)
-    det = np.linalg.det(M)
-    if abs(det) < 1e-14:
-        raise NumericalError(f"singular degree-0 system at the center (det={det:.3e})")
-    lam, mu = np.linalg.solve(M, [complex(a0).real, complex(a0).imag])
-    return lam * pair.F + mu * pair.G
 
 
 def _check_finite(state: np.ndarray, degree: int, first_ray: int):
@@ -227,8 +207,8 @@ def _power_tables(seq: GeneratingSequence, mesh: RadialMesh, N: int, seeds,
     if N < 0:
         raise ValidationError(f"N must be non-negative, got {N}")
     out = np.empty((len(seeds), N + 1) + mesh.nodes.shape, dtype=complex)
-    p = seq.pair_for(0).F.real.T[:, None, :]
-    for d, A, B in _Chains([pair.F.real for pair in seq.pairs], mesh, seeds, rule).powers(N):
+    p = seq.pair_for(0).p.T[:, None, :]
+    for d, A, B in _Chains([pair.p for pair in seq.pairs], mesh, seeds, rule).powers(N):
         Z = out[:, d].transpose(2, 0, 1)                         # (S+1, seeds, P) view
         np.multiply(A, p, out=Z.real)
         np.divide(B, p, out=Z.imag)
@@ -266,7 +246,7 @@ def ray_workers(environ=os.environ) -> int:
 def _over_ray_blocks(seq: GeneratingSequence, mesh: RadialMesh, seeds, rule: str, run):
     """Call ``run(rays, chains)`` on ``ray_workers()`` threads for every block of RAY_BLOCK
     rays, ``chains`` holding the chains of ``seeds`` on the block's slice of the mesh."""
-    ps = [pair.F.real for pair in seq.pairs]
+    ps = [pair.p for pair in seq.pairs]
 
     def block(first: int):
         rays = slice(first, first + RAY_BLOCK)
@@ -289,7 +269,7 @@ def rim_traces(seq: GeneratingSequence, mesh: RadialMesh, N: int,
     Re Z = p A at the rim and is dropped.
     """
     raw = np.empty((2 * N + 1, mesh.ray_count))
-    p_rim = seq.pair_for(0).F.real[:, -1]
+    p_rim = seq.pair_for(0).p[:, -1]
 
     def traces(rays: slice, chains: _Chains):
         for d, A, _ in chains.powers(N):
@@ -311,7 +291,7 @@ def rim_fit(seq: GeneratingSequence, mesh: RadialMesh, N: int, a,
     """
     fit = np.empty(mesh.ray_count)
     k, S = seq.period, mesh.step_count
-    p_rim = seq.pair_for(0).F.real[:, -1]
+    p_rim = seq.pair_for(0).p[:, -1]
 
     def horner(rays: slice, chains: _Chains):
         chains.state[:] = 0.0
@@ -335,11 +315,10 @@ def pseudoanalyticity_check(table: FormalPowerTable, p: np.ndarray,
     to stay clear of conductivity discontinuities, where the mesh
     finite differences see the jump rather than the equation).
     """
-    mesh = table.mesh
+    residual = _vekua_operator(p, table.mesh)
     out = np.empty(table.N + 1)
     for n in range(table.N + 1):
-        res = np.fmax(vekua_residual(table.Z1[n], p, mesh),
-                      vekua_residual(table.Zi[n], p, mesh))
+        res = np.fmax(residual(table.Z1[n]), residual(table.Zi[n]))
         res = res[:, 1:-1]
         if keep is not None:
             res = np.where(keep[:, 1:-1], res, np.nan)

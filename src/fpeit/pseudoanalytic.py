@@ -8,23 +8,21 @@ The complex derivative operators carry no 1/2 factor:
 
 All identities in this module (characteristic coefficients, successor
 condition, Vekua residual) are stated and tested under this convention.
-One consequence worth knowing: the antiderivative identity for the pair
-integral returns twice the classical right-hand side, i.e. for a function
-W = phi*F + psi*G admitting a pair derivative,
+One consequence: the pair integral of the pair derivative returns twice the
+classical antiderivative expression (the tests check this round trip). The
+formal power recursion uses only the integral and is unaffected.
 
-    fg_integral(fg_derivative(W)) == 2 * (W - phi(z0) F - psi(z0) G),
-
-because both the derivative and the line-integral recombination each pick up
-the factor the classical half-convention splits between them. The formal
-power recursion uses only the integral and is unaffected.
-
-Only generating pairs of the form (p, i/p) with p > 0 are supported; this is
-the class the impedance-equation reduction produces, and it keeps the pair
-condition Im(conj(F) G) = 1 exact. For them both integrals of the pair
-integral are real: with W = u + iv on a ray dz = (sr + i si) dt,
+Only generating pairs of the form (F, G) = (p, i/p) with p > 0 are
+supported; this is the class the impedance-equation reduction produces, and
+a pair is held as its field p. The pair condition Im(conj(F) G) = 1 holds
+identically, and of the characteristic coefficients A and a vanish while
+B = dz(p)/p and b = dzbar(p)/p. Both integrals of the pair integral are
+real: with W = u + iv on a ray dz = (sr + i si) dt,
 
     Re int G* W dz = int (u sr - v si) / p dt =: A,   Re int F* W dz = int p (u si + v sr) dt =: B,
-    fg_integral(W) = p A + i B / p.
+    fg_integral(W) = p A + i B / p,
+
+where (F*, G*) = (-i p, 1/p) is the adjoint pair.
 """
 
 from __future__ import annotations
@@ -221,47 +219,24 @@ def cumulative_path_integral(f: np.ndarray, mesh: RadialMesh, rule: str = "cubic
 
 @dataclass(frozen=True)
 class GeneratingPair:
-    """Sampled (F, G) values on the mesh; optionally backed by a callable p(x, y).
+    """The pair (F, G) = (p, i/p), held as its field p sampled on the mesh;
+    optionally backed by a callable p(x, y).
 
-    The pair condition Im(conj(F) G) > 0 is checked at construction.
+    p must be finite and positive at every node, and then the pair condition
+    Im(conj(F) G) = 1 holds identically.
     """
 
-    F: np.ndarray
-    G: np.ndarray
+    p: np.ndarray
     p_fn: Callable | None = None
 
     def __post_init__(self):
-        F, G = np.asarray(self.F), np.asarray(self.G)
-        if not (np.all(np.isfinite(F.view(float))) and np.all(np.isfinite(G.view(float)))):
-            raise ValidationError("generating pair contains non-finite values")
-        im = np.imag(np.conj(F) * G)
-        if np.any(im <= 0):
-            raise ValidationError(f"pair condition Im(conj(F) G) > 0 violated (min {im.min():.3e})")
+        if not (np.all(np.isfinite(self.p)) and np.all(self.p > 0)):
+            raise ValidationError("p must be positive and finite at every node")
 
-    def adjoint_values(self):
-        return -1j * self.F, -1j * self.G
-
-
-def pair_from_p(p: np.ndarray, p_fn: Callable | None = None) -> GeneratingPair:
-    """Pair (p, i/p) from a positive field p sampled on the mesh."""
-    p = np.asarray(p, dtype=float)
-    if not np.all(np.isfinite(p)) or np.any(p <= 0):
-        raise ValidationError("p must be positive and finite at every node")
-    return GeneratingPair(F=p.astype(complex), G=1j / p, p_fn=p_fn)
-
-
-def adjoint(pair: GeneratingPair) -> GeneratingPair:
-    """Adjoint pair (F*, G*) = (-iF, -iG)."""
-    Fs, Gs = pair.adjoint_values()
-    return GeneratingPair(F=Fs, G=Gs, p_fn=None)
-
-
-@dataclass(frozen=True)
-class CharacteristicCoefficients:
-    A: np.ndarray
-    B: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
+    @property
+    def F(self) -> np.ndarray:
+        """F = p as a complex field."""
+        return self.p + 0j
 
 
 def _fd_xy(fn: Callable, x: np.ndarray, y: np.ndarray, h: float):
@@ -305,38 +280,32 @@ def _fd_xy(fn: Callable, x: np.ndarray, y: np.ndarray, h: float):
     return out
 
 
-def characteristic_coefficients(pair: GeneratingPair, mesh: RadialMesh,
-                                h: float = 1e-4) -> CharacteristicCoefficients:
-    """The four coefficient fields A, B, a, b of a generating pair.
+def _coefficients(p: np.ndarray, grad_p, grad_q):
+    """B and b of the pair (p, i/p) from the (d/dx, d/dy) of p and of q = 1/p.
 
-    Derivatives of F and G are taken by centered finite differences with
-    spacing ``h`` (one-sided at the rim); requires the pair to be backed by a
-    callable p, i.e. to be of the (p, i/p) form.
+    A = a = 0 for these pairs, and B = (dz(p)/p - p dz(1/p)) / 2, b the same
+    with dzbar. Both halves equal dz(p)/p in exact arithmetic; the symmetric
+    form keeps the finite-difference truncation of the two pairs of a
+    separable sequence cancelling in the successor condition.
+    """
+    (px, py), (qx, qy) = grad_p, grad_q
+    ux = 0.5 * (px / p - p * qx)
+    uy = 0.5 * (py / p - p * qy)
+    return ux - 1j * uy, ux + 1j * uy
+
+
+def characteristic_coefficients(pair: GeneratingPair, mesh: RadialMesh, h: float = 1e-4):
+    """The coefficient fields (B, b) of a pair (p, i/p); its A and a vanish.
+
+    Derivatives of p and 1/p are taken by centered finite differences with
+    spacing ``h`` (one-sided at the rim), so the pair must be backed by a
+    callable p.
     """
     if pair.p_fn is None:
         raise ValidationError("characteristic coefficients need a callable-backed pair (p, i/p)")
     x, y = mesh.xy()
-
-    def F_fn(a_, b_):
-        return np.asarray(pair.p_fn(a_, b_), dtype=complex)
-
-    def G_fn(a_, b_):
-        return 1j / np.asarray(pair.p_fn(a_, b_), dtype=complex)
-
-    Fx, Fy = _fd_xy(F_fn, x, y, h)
-    Gx, Gy = _fd_xy(G_fn, x, y, h)
-    dzF, dzbF = Fx - 1j * Fy, Fx + 1j * Fy
-    dzG, dzbG = Gx - 1j * Gy, Gx + 1j * Gy
-
-    F, G = pair.F, pair.G
-    den = F * np.conj(G) - G * np.conj(F)   # = -2i for (p, i/p) pairs
-    if np.any(np.abs(den) < 1e-14):
-        raise NumericalError("degenerate pair denominator F conj(G) - G conj(F)")
-    A = (np.conj(F) * dzG - np.conj(G) * dzF) / den
-    a = -(np.conj(F) * dzbG - np.conj(G) * dzbF) / den
-    B = (F * dzG - G * dzF) / den
-    b = -(G * dzbF - F * dzbG) / den
-    return CharacteristicCoefficients(A=A, B=B, a=a, b=b)
+    return _coefficients(pair.p, _fd_xy(pair.p_fn, x, y, h),
+                         _fd_xy(lambda a, b: 1.0 / pair.p_fn(a, b), x, y, h))
 
 
 # --------------------------------------------------------------------------
@@ -345,15 +314,15 @@ def characteristic_coefficients(pair: GeneratingPair, mesh: RadialMesh,
 
 def fg_integral(W: np.ndarray, pair: GeneratingPair, mesh: RadialMesh,
                 rule: str = "cubic") -> np.ndarray:
-    """(F, G)-integral of W from the center along every ray.
+    """Pair integral of W from the center along every ray, for the pair (p, i/p).
 
-    Returns F(z) Re(int G* W dz) + G(z) Re(int F* W dz) cumulatively at every
-    node; the value at s = 0 is 0. With the pair (1, i) this reduces to the
-    ordinary complex contour integral. For the pair (p, i/p) both integrands
-    are real (see the module docstring), so the two running integrals take
-    one real pass of the chunked ray quadrature.
+    Returns p Re(int G* W dz) + (i/p) Re(int F* W dz) cumulatively at every
+    node; the value at s = 0 is 0. With p = 1 this is the ordinary complex
+    contour integral. Both integrands are real (see the module docstring),
+    so the two running integrals take one real pass of the chunked ray
+    quadrature.
     """
-    p = pair.F.real
+    p = pair.p
     Wdz = W * mesh.span[:, None]                 # (u sr - v si) + i (u si + v sr)
     # both integrands in one stack: with two rows or more per chunk, numpy's
     # matmul always takes the gemm path (one row goes through gemv, which
@@ -427,22 +396,16 @@ def dzbar_field(W: np.ndarray, mesh: RadialMesh) -> np.ndarray:
     return Wx + 1j * Wy
 
 
-def fg_derivative(W: np.ndarray, pair: GeneratingPair, mesh: RadialMesh,
-                  h: float = 1e-4) -> np.ndarray:
-    """(F, G)-derivative dz(W) - A W - B conj(W) of a mesh field.
-
-    dz(W) is taken by the mesh central differences (NaN at the center column);
-    A and B come from ``characteristic_coefficients`` with spacing ``h``.
-    """
-    coeffs = characteristic_coefficients(pair, mesh, h=h)
-    return dz_field(W, mesh) - coeffs.A * W - coeffs.B * np.conj(W)
+def _vekua_operator(p: np.ndarray, mesh: RadialMesh):
+    """W -> |dzbar(W) - b conj(W)| per node, with b = dzbar(p)/p computed once."""
+    p = np.asarray(p, dtype=float)
+    b = dzbar_field(p.astype(complex), mesh) / p
+    return lambda W: np.abs(dzbar_field(np.asarray(W, dtype=complex), mesh) - b * np.conj(W))
 
 
 def vekua_residual(W: np.ndarray, p: np.ndarray, mesh: RadialMesh) -> np.ndarray:
     """|dzbar(W) - (dzbar(p)/p) conj(W)| per node (NaN at the center column)."""
-    p = np.asarray(p, dtype=float)
-    b = dzbar_field(p.astype(complex), mesh) / p
-    return np.abs(dzbar_field(np.asarray(W, dtype=complex), mesh) - b * np.conj(W))
+    return _vekua_operator(p, mesh)(W)
 
 
 # --------------------------------------------------------------------------
@@ -485,9 +448,9 @@ def build_sequence(field: ConductivityField, mesh: RadialMesh) -> GeneratingSequ
             u1, u2 = field.separable_parts(np.asarray(a, float), np.asarray(b, float))
             return np.sqrt(u1 * u2)
 
-        even = pair_from_p(p2 / p1, p_fn=p_even)
-        odd = pair_from_p(p1 * p2, p_fn=p_odd)
-        if np.array_equal(even.F, odd.F):
+        even = GeneratingPair(p2 / p1, p_even)
+        odd = GeneratingPair(p1 * p2, p_odd)
+        if np.array_equal(even.p, odd.p):
             return GeneratingSequence(period=1, pairs=(even,))
         return GeneratingSequence(period=2, pairs=(even, odd))
 
@@ -496,7 +459,13 @@ def build_sequence(field: ConductivityField, mesh: RadialMesh) -> GeneratingSequ
     def p_fn(a, b):
         return np.sqrt(field.evaluate(a, b))
 
-    return GeneratingSequence(period=1, pairs=(pair_from_p(p, p_fn=p_fn),))
+    return GeneratingSequence(period=1, pairs=(GeneratingPair(p, p_fn),))
+
+
+def _successor_gaps(seq: GeneratingSequence, coefficients):
+    """|B_(m+1) + b_m| per node for each m in one period; ``coefficients(pair)`` gives (B, b)."""
+    Bb = [coefficients(pair) for pair in seq.pairs]
+    return [np.abs(Bb[(m + 1) % seq.period][0] + Bb[m][1]) for m in range(seq.period)]
 
 
 def successor_residual(seq: GeneratingSequence, mesh: RadialMesh, h: float = 1e-4):
@@ -509,12 +478,8 @@ def successor_residual(seq: GeneratingSequence, mesh: RadialMesh, h: float = 1e-
     residual instead measures |2 dx(p)/p|, the gap of the limit-case
     construction, and is not expected to be small.
     """
-    out = []
-    for m in range(seq.period):
-        b_m = characteristic_coefficients(seq.pair_for(m), mesh, h=h).b
-        B_next = characteristic_coefficients(seq.pair_for(m + 1), mesh, h=h).B
-        out.append(float(np.max(np.abs(B_next + b_m))))
-    return out
+    gaps = _successor_gaps(seq, lambda pair: characteristic_coefficients(pair, mesh, h=h))
+    return [float(np.max(g)) for g in gaps]
 
 
 def successor_residual_mesh(seq: GeneratingSequence, mesh: RadialMesh):
@@ -525,17 +490,7 @@ def successor_residual_mesh(seq: GeneratingSequence, mesh: RadialMesh):
     order as the mesh is refined. Interior nodes only (the center column is
     singular and the rim column one-sided).
     """
-    def coeff_Bb(pair):
-        F, G = pair.F, pair.G
-        den = F * np.conj(G) - G * np.conj(F)
-        B = (F * dz_field(G, mesh) - G * dz_field(F, mesh)) / den
-        b = -(G * dzbar_field(F, mesh) - F * dzbar_field(G, mesh)) / den
-        return B, b
+    def coefficients(pair):
+        return _coefficients(pair.p, mesh_gradient(pair.p, mesh), mesh_gradient(1.0 / pair.p, mesh))
 
-    out = []
-    for m in range(seq.period):
-        _, b_m = coeff_Bb(seq.pair_for(m))
-        B_next, _ = coeff_Bb(seq.pair_for(m + 1))
-        res = np.abs(B_next + b_m)[:, 1:-1]
-        out.append(float(np.nanmax(res)))
-    return out
+    return [float(np.nanmax(g[:, 1:-1])) for g in _successor_gaps(seq, coefficients)]

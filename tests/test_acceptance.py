@@ -16,9 +16,9 @@ from fpeit.conductivity import constant_field
 from fpeit.formal_powers import build_table, formal_power_fields
 from fpeit.presets import build_boundary_data, build_field, config_from_dict, corner_angles_for
 from fpeit.pseudoanalytic import (
+    GeneratingPair,
     build_sequence,
     fg_integral,
-    pair_from_p,
     radial_mesh,
     successor_residual_mesh,
 )
@@ -187,7 +187,7 @@ def test_criterion_7_structural_identities(sinusoidal_runs):
         errs = []
         for S in (50, 100, 200):
             mesh = radial_mesh(4, S)
-            pair = pair_from_p(np.ones(mesh.nodes.shape))
+            pair = GeneratingPair(np.ones(mesh.nodes.shape))
             z = mesh.nodes
             Wp = sum(k * c * z ** (k - 1) for k, c in enumerate(coef) if k >= 1)
             W = sum(c * z ** k for k, c in enumerate(coef))

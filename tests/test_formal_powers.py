@@ -13,7 +13,6 @@ from fpeit.formal_powers import (
     RAY_BLOCK,
     boundary_system,
     build_table,
-    degree_zero,
     formal_power_fields,
     pseudoanalyticity_check,
     ray_workers,
@@ -21,23 +20,33 @@ from fpeit.formal_powers import (
     rim_traces,
     write_powers_csv,
 )
-from fpeit.pseudoanalytic import build_sequence, fg_integral, pair_from_p, radial_mesh
+from fpeit.pseudoanalytic import GeneratingPair, build_sequence, fg_integral, radial_mesh
 from fpeit.verification import sinusoidal_case
+
+
+def degree_zero(pair, a0):
+    """Degree-0 power lambda F + mu G of the pair (F, G) = (p, i/p), with real lambda, mu
+    matching a0 at the center: the 2x2 system [Re F, Re G; Im F, Im G] (lambda, mu)^T =
+    (Re a0, Im a0)^T, whose determinant Im(conj(F) G) is 1 for these pairs."""
+    F, G = pair.F, 1j / pair.p
+    M = np.array([[F[0, 0].real, G[0, 0].real], [F[0, 0].imag, G[0, 0].imag]])
+    lam, mu = np.linalg.solve(M, [complex(a0).real, complex(a0).imag])
+    return lam * F + mu * G
 
 
 def test_degree_zero_unit_pair():
     mesh = radial_mesh(8, 50)
-    pair = pair_from_p(np.ones(mesh.nodes.shape))
-    np.testing.assert_allclose(degree_zero(pair, 1.0, mesh), 1.0)
-    np.testing.assert_allclose(degree_zero(pair, 1j, mesh), 1j)
+    pair = GeneratingPair(np.ones(mesh.nodes.shape))
+    np.testing.assert_allclose(degree_zero(pair, 1.0), 1.0)
+    np.testing.assert_allclose(degree_zero(pair, 1j), 1j)
 
 
 def test_degree_zero_general_pair():
     # seed 1 with pair (p, i/p): lambda = 1/p(z0), mu = 0, so Z^(0) = p/p0
     mesh = radial_mesh(8, 50)
     p = np.exp(mesh.nodes.real)
-    pair = pair_from_p(p)
-    Z0 = degree_zero(pair, 1.0, mesh)
+    pair = GeneratingPair(p)
+    Z0 = degree_zero(pair, 1.0)
     np.testing.assert_allclose(Z0, p / p[0, 0], rtol=1e-14)
     assert Z0[0, 0] == pytest.approx(1.0, abs=1e-15)
 
@@ -121,7 +130,7 @@ def reference_formal_power_fields(seq, mesh, N, seed, rule="cubic"):
     k = seq.period
     out = np.empty((N + 1,) + mesh.nodes.shape, dtype=complex)
     for start in range(min(k, N + 1)):
-        W = degree_zero(seq.pair_for(start), seed, mesh)
+        W = degree_zero(seq.pair_for(start), seed)
         if start % k == 0:
             out[0] = W
         for d in range(1, N - (N - start) % k + 1):
@@ -177,7 +186,7 @@ def test_pseudoanalyticity_residual_refines():
         mesh = radial_mesh(P, S)
         seq = build_sequence(case.field, mesh)
         table = build_table(seq, mesh, 5)
-        res = pseudoanalyticity_check(table, np.abs(seq.pair_for(0).F))
+        res = pseudoanalyticity_check(table, seq.pair_for(0).p)
         maxima.append(res.max())
     assert maxima[1] < maxima[0] / 1.5
 
@@ -197,7 +206,7 @@ def test_pseudoanalyticity_restricted_for_discontinuous_sigma():
         mesh = radial_mesh(P, S)
         seq = build_sequence(field, mesh)
         table = build_table(seq, mesh, 4)
-        p0 = np.abs(seq.pair_for(0).F)
+        p0 = seq.pair_for(0).p
         r = np.abs(mesh.nodes)
         inner = r < 0.15
         res_inner = pseudoanalyticity_check(table, p0, keep=inner)

@@ -5,19 +5,25 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fpeit.conductivity import constant_field, radial_rings_field, sample_piecewise
+from fpeit.conductivity import (
+    constant_field,
+    radial_rings_field,
+    sample_piecewise,
+    scene_from_dict,
+)
 from fpeit.errors import NumericalError, ValidationError
 from fpeit.pseudoanalytic import (
     GeneratingPair,
+    _coefficients,
     _cumulative_cubic_weights,
-    adjoint,
+    _fd_xy,
     build_sequence,
     characteristic_coefficients,
     cumulative_path_integral,
     dz_field,
-    fg_derivative,
+    dzbar_field,
     fg_integral,
-    pair_from_p,
+    mesh_gradient,
     radial_mesh,
     successor_residual,
     successor_residual_mesh,
@@ -28,7 +34,17 @@ from fpeit.verification import lorentzian_case, sinusoidal_case
 
 def unit_pair(mesh):
     ones = np.ones(mesh.nodes.shape)
-    return pair_from_p(ones, p_fn=lambda x, y: np.ones_like(np.asarray(x, float)))
+    return GeneratingPair(ones, lambda x, y: np.ones_like(np.asarray(x, float)))
+
+
+def fg_derivative(W, pair, mesh, h=1e-4):
+    """Pair derivative dz(W) - A W - B conj(W) of a mesh field, with A = 0 for (p, i/p).
+
+    dz(W) is taken by the mesh central differences (NaN at the center
+    column), B by ``characteristic_coefficients`` with spacing ``h``.
+    """
+    B, _ = characteristic_coefficients(pair, mesh, h=h)
+    return dz_field(W, mesh) - B * np.conj(W)
 
 
 # --- mesh ---------------------------------------------------------------------
@@ -71,10 +87,10 @@ def test_mesh_rim_grading():
 def test_pair_from_p_examples():
     mesh = radial_mesh(8, 50)
     pair = unit_pair(mesh)
-    assert pair.F[0, 0] == 1.0 and pair.G[0, 0] == 1j
-    p2 = pair_from_p(np.full(mesh.nodes.shape, 2.0))
-    assert p2.G[0, 0] == pytest.approx(0.5j)
-    np.testing.assert_allclose(np.imag(np.conj(p2.F) * p2.G), 1.0, atol=1e-15)
+    assert pair.F[0, 0] == 1.0 and pair.F.dtype == complex
+    p2 = GeneratingPair(np.full(mesh.nodes.shape, 2.0))
+    np.testing.assert_array_equal(p2.F, 2.0 + 0j)
+    np.testing.assert_allclose(np.imag(np.conj(p2.F) * (1j / p2.p)), 1.0, atol=1e-15)
     # p = sqrt(sigma2/sigma1) for the sinusoidal conductivity at the origin
     case = sinusoidal_case(math.pi)
     s1, s2 = case.field.separable_parts(np.array([0.0]), np.array([0.0]))
@@ -83,53 +99,37 @@ def test_pair_from_p_examples():
 
 def test_pair_validation():
     mesh = radial_mesh(8, 50)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        p = np.ones(mesh.nodes.shape)
+        p[3, 7] = bad  # one bad node is enough
+        with pytest.raises(ValidationError):
+            GeneratingPair(p)
     with pytest.raises(ValidationError):
-        pair_from_p(np.zeros(mesh.nodes.shape))
-    with pytest.raises(ValidationError):
-        pair_from_p(np.full(mesh.nodes.shape, np.nan))
-    with pytest.raises(ValidationError):
-        GeneratingPair(F=np.ones((2, 2), complex), G=np.ones((2, 2), complex))
-
-
-def test_adjoint():
-    mesh = radial_mesh(8, 50)
-    pair = unit_pair(mesh)
-    adj = adjoint(pair)
-    assert adj.F[0, 0] == pytest.approx(-1j)
-    assert adj.G[0, 0] == pytest.approx(1.0)
-    p = pair_from_p(np.full(mesh.nodes.shape, 1.7))
-    padj = adjoint(p)
-    np.testing.assert_allclose(np.imag(np.conj(padj.F) * padj.G), 1.0, atol=1e-15)
-    twice = adjoint(padj)
-    np.testing.assert_allclose(twice.F, -p.F)
-    np.testing.assert_allclose(twice.G, -p.G)
+        characteristic_coefficients(GeneratingPair(np.ones(mesh.nodes.shape)), mesh)
 
 
 # --- characteristic coefficients ------------------------------------------------
 
 def test_coefficients_unit_pair_vanish():
     mesh = radial_mesh(12, 60)
-    cc = characteristic_coefficients(unit_pair(mesh), mesh)
-    for arr in (cc.A, cc.B, cc.a, cc.b):
+    for arr in characteristic_coefficients(unit_pair(mesh), mesh):
         assert np.abs(arr).max() == 0.0
 
 
 def test_coefficients_exponential():
-    # p = e^x: B = dz(p)/p = 1, b = dzbar(p)/p = 1, A = a = 0
+    # p = e^x: B = dz(p)/p = 1, b = dzbar(p)/p = 1
     mesh = radial_mesh(12, 60)
-    pair = pair_from_p(np.exp(mesh.nodes.real),
-                       p_fn=lambda x, y: np.exp(np.asarray(x, float)))
-    cc = characteristic_coefficients(pair, mesh, h=1e-4)
+    pair = GeneratingPair(np.exp(mesh.nodes.real), lambda x, y: np.exp(np.asarray(x, float)))
+    B, b = characteristic_coefficients(pair, mesh, h=1e-4)
     interior = np.s_[:, 1:-1]
-    assert np.abs(cc.B[interior] - 1.0).max() < 1e-7
-    assert np.abs(cc.b[interior] - 1.0).max() < 1e-7
-    assert np.abs(cc.A[interior]).max() < 1e-7
+    assert np.abs(B[interior] - 1.0).max() < 1e-7
+    assert np.abs(b[interior] - 1.0).max() < 1e-7
     # rim rows fall back to one-sided/tangential stencils: first-order there
-    assert np.abs(cc.B - 1.0).max() < 2e-4
+    assert np.abs(B - 1.0).max() < 2e-4
 
 
 def test_coefficients_match_direct_formula():
-    # cross-check the general formula against B = dz(p)/p, b = dzbar(p)/p
+    # cross-check the symmetric form against B = dz(p)/p, b = dzbar(p)/p
     # computed by an independent centered difference on the same p
     h = 1e-4
     mesh = radial_mesh(10, 40)
@@ -137,8 +137,8 @@ def test_coefficients_match_direct_formula():
     def p_fn(x, y):
         return np.exp(0.3 * np.asarray(x) + 0.2 * np.asarray(y) ** 2)
 
-    pair = pair_from_p(p_fn(*mesh.xy()), p_fn=p_fn)
-    cc = characteristic_coefficients(pair, mesh, h=h)
+    pair = GeneratingPair(p_fn(*mesh.xy()), p_fn)
+    B, b = characteristic_coefficients(pair, mesh, h=h)
     x, y = mesh.xy()
     interior = np.hypot(x, y) < 1 - 2 * h
     px = (p_fn(x + h, y) - p_fn(x - h, y)) / (2 * h)
@@ -147,17 +147,93 @@ def test_coefficients_match_direct_formula():
     B_direct = (px - 1j * py) / p
     b_direct = (px + 1j * py) / p
     scale = np.abs(B_direct[interior]).max()
-    assert np.abs((cc.B - B_direct)[interior]).max() <= 10 * h ** 2 * scale + 1e-12
-    assert np.abs((cc.b - b_direct)[interior]).max() <= 10 * h ** 2 * scale + 1e-12
-    assert np.abs(cc.A[interior]).max() <= 1e-7
-    assert np.abs(cc.a[interior]).max() <= 1e-7
+    assert np.abs((B - B_direct)[interior]).max() <= 10 * h ** 2 * scale + 1e-12
+    assert np.abs((b - b_direct)[interior]).max() <= 10 * h ** 2 * scale + 1e-12
 
 
 def test_coefficients_require_backing_callable():
     mesh = radial_mesh(8, 50)
-    pair = pair_from_p(np.ones(mesh.nodes.shape))  # no p_fn
+    pair = GeneratingPair(np.ones(mesh.nodes.shape))  # no p_fn
     with pytest.raises(ValidationError):
         characteristic_coefficients(pair, mesh)
+
+
+def general_pair_coefficients(F, G, dzF, dzbF, dzG, dzbG):
+    """A, B, a, b of a general pair (F, G) from its derivatives, through den."""
+    den = F * np.conj(G) - G * np.conj(F)
+    A = (np.conj(F) * dzG - np.conj(G) * dzF) / den
+    a = -(np.conj(F) * dzbG - np.conj(G) * dzbF) / den
+    B = (F * dzG - G * dzF) / den
+    b = -(G * dzbF - F * dzbG) / den
+    return A, B, a, b
+
+
+def general_coefficients(pair, mesh, h=1e-4):
+    """The general-pair formulas on the Cartesian stencil, F and G differenced as complex fields."""
+    x, y = mesh.xy()
+    Fx, Fy = _fd_xy(lambda a, b: np.asarray(pair.p_fn(a, b), dtype=complex), x, y, h)
+    Gx, Gy = _fd_xy(lambda a, b: 1j / np.asarray(pair.p_fn(a, b), dtype=complex), x, y, h)
+    return general_pair_coefficients(pair.F, 1j / pair.p, Fx - 1j * Fy, Fx + 1j * Fy,
+                                     Gx - 1j * Gy, Gx + 1j * Gy)
+
+
+def general_coefficients_mesh(pair, mesh):
+    """The general-pair formulas with the mesh central differences of F and G."""
+    F, G = pair.F, 1j / pair.p
+    return general_pair_coefficients(F, G, dz_field(F, mesh), dzbar_field(F, mesh),
+                                     dz_field(G, mesh), dzbar_field(G, mesh))
+
+
+def general_successor_gaps(seq, coefficients):
+    """|B_(m+1) + b_m| per node and m from the general-pair coefficients."""
+    return [np.abs(coefficients(seq.pair_for(m + 1))[1] + coefficients(seq.pair_for(m))[3])
+            for m in range(seq.period)]
+
+
+DISK_SCENE = {"background": 10.0,
+              "shapes": [{"kind": "disk", "cx": 0.3, "cy": -0.2, "r2": 0.1, "value": 60.0}]}
+ORACLE_FIELDS = {"sinusoidal": sinusoidal_case(math.pi).field,
+                 "lorentzian-0.5": lorentzian_case(0.5).field,
+                 "disk-scene": scene_from_dict(DISK_SCENE),
+                 "radial-rings": radial_rings_field()}
+
+
+@pytest.mark.parametrize("name", ORACLE_FIELDS)
+def test_coefficients_match_general_pair_oracle(name):
+    # 35 x 100 puts nodes within the Cartesian h of the scene and ring jumps
+    mesh = radial_mesh(35, 100)
+    seq = build_sequence(ORACLE_FIELDS[name], mesh)
+    separable = name in ("sinusoidal", "lorentzian-0.5")
+    assert seq.period == (2 if separable else 1)
+    interior = np.s_[:, 1:-1]
+    for pair in seq.pairs:
+        on_mesh = _coefficients(pair.p, mesh_gradient(pair.p, mesh),
+                                mesh_gradient(1.0 / pair.p, mesh))
+        oracle = general_coefficients(pair, mesh)
+        for new, (_, B, _, b) in ((characteristic_coefficients(pair, mesh), oracle),
+                                  (on_mesh, general_coefficients_mesh(pair, mesh))):
+            scale = np.abs(B[interior]).max()
+            assert np.abs(new[0] - B)[interior].max() <= 1e-12 * scale
+            assert np.abs(new[1] - b)[interior].max() <= 1e-12 * scale
+        if separable:
+            # A and a vanish in exact arithmetic; the Cartesian differences of
+            # p and 1/p leave an O(h^2) truncation of them on smooth fields
+            A, B, a, _ = oracle
+            scale = np.abs(B[interior]).max()
+            assert np.abs(A[interior]).max() <= 1e-7 * scale
+            assert np.abs(a[interior]).max() <= 1e-7 * scale
+
+
+@pytest.mark.parametrize("name", ORACLE_FIELDS)
+def test_successor_residuals_match_general_pair_oracle(name):
+    mesh = radial_mesh(35, 100)
+    seq = build_sequence(ORACLE_FIELDS[name], mesh)
+    cartesian = [float(np.max(g)) for g in
+                 general_successor_gaps(seq, lambda pair: general_coefficients(pair, mesh))]
+    on_mesh = [float(np.nanmax(g[:, 1:-1])) for g in
+               general_successor_gaps(seq, lambda pair: general_coefficients_mesh(pair, mesh))]
+    np.testing.assert_allclose(successor_residual(seq, mesh), cartesian, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(successor_residual_mesh(seq, mesh), on_mesh, rtol=1e-12, atol=1e-15)
 
 
 # --- pair integral ---------------------------------------------------------------
@@ -195,7 +271,7 @@ def test_fg_integral_against_quadrature_oracle():
     def p_fn(x, y):
         return np.exp(0.4 * np.asarray(x) - 0.3 * np.asarray(y))
 
-    pair = pair_from_p(p_fn(*mesh.xy()), p_fn=p_fn)
+    pair = GeneratingPair(p_fn(*mesh.xy()), p_fn)
 
     def V(z):
         return z ** 2 + 0.3 * np.conj(z) + 0.1j
@@ -207,7 +283,7 @@ def test_fg_integral_against_quadrature_oracle():
         def f(t):
             z = t * e
             p = p_fn(z.real, z.imag)
-            Fs, Gs = -1j * p, 1.0 / p  # adjoint values for (p, i/p)
+            Fs, Gs = -1j * p, 1.0 / p  # the adjoint pair of (p, i/p)
             g = (Gs if kind == "G" else Fs) * V(z) * e
             return g.real if part == "re" else g.imag
         return f
@@ -234,8 +310,9 @@ def reference_fg_integral(W, pair, mesh, rule):
         np.cumsum(inc, axis=-1, out=out[..., 1:])
         return out * mesh.span[:, None]
 
-    Fs, Gs = pair.adjoint_values()
-    return pair.F * cumulative(Gs * W).real + pair.G * cumulative(Fs * W).real
+    F, G = pair.F, 1j / pair.p
+    Fs, Gs = -1j * F, -1j * G  # the adjoint pair
+    return F * cumulative(Gs * W).real + G * cumulative(Fs * W).real
 
 
 def p_fields(mesh):
@@ -253,7 +330,7 @@ def test_fg_integral_matches_complex_kernel(rule, S, grading):
     rng = np.random.default_rng(S)
     W = rng.normal(size=mesh.nodes.shape) + 1j * rng.normal(size=mesh.nodes.shape)
     for name, p in p_fields(mesh).items():
-        pair = pair_from_p(p)
+        pair = GeneratingPair(p)
         ref = reference_fg_integral(W, pair, mesh, rule)
         got = fg_integral(W, pair, mesh, rule=rule)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), name
@@ -270,7 +347,7 @@ def test_fg_integral_matches_complex_kernel_on_a_ray_slice():
     W = rng.normal(size=part.nodes.shape) + 1j * rng.normal(size=part.nodes.shape)
     for rule in ("cubic", "trapezoid"):
         for name, p in p_fields(mesh).items():
-            pair = pair_from_p(p[rays])
+            pair = GeneratingPair(p[rays])
             ref = reference_fg_integral(W, pair, part, rule)
             got = fg_integral(W, pair, part, rule=rule)
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), (rule, name)
@@ -279,14 +356,14 @@ def test_fg_integral_matches_complex_kernel_on_a_ray_slice():
 def test_fg_integral_of_a_ray_does_not_depend_on_its_slice():
     # rim_traces relies on it to match the full-mesh table bit for bit
     mesh = radial_mesh(40, 60)
-    pair = pair_from_p(p_fields(mesh)["smooth"])
+    pair = GeneratingPair(p_fields(mesh)["smooth"])
     rng = np.random.default_rng(2)
     W = rng.normal(size=mesh.nodes.shape) + 1j * rng.normal(size=mesh.nodes.shape)
     full = fg_integral(W, pair, mesh)
     for rays in (slice(3, 4), slice(5, 7), slice(0, 33)):
         part = replace(mesh, theta=mesh.theta[rays], nodes=mesh.nodes[rays],
                        span=mesh.span[rays], boundary_weights=mesh.boundary_weights[rays])
-        got = fg_integral(W[rays], pair_from_p(pair.F.real[rays]), part)
+        got = fg_integral(W[rays], GeneratingPair(pair.p[rays]), part)
         np.testing.assert_array_equal(got, full[rays])
 
 
@@ -307,7 +384,7 @@ def test_fg_derivative_annihilates_pair():
         pair = seq.pair_for(0)
         interior = np.s_[:, 1:-1]
         dF = fg_derivative(pair.F, pair, mesh)
-        dG = fg_derivative(pair.G, pair, mesh)
+        dG = fg_derivative(1j / pair.p, pair, mesh)
         scale = np.abs(dz_field(pair.F, mesh)[interior]).max() + 1.0
         residuals.append(max(np.nanmax(np.abs(dF[interior])),
                              np.nanmax(np.abs(dG[interior]))) / scale)
@@ -353,8 +430,8 @@ def test_sequence_constant_degenerates_to_period_one():
     mesh = radial_mesh(8, 50)
     seq = build_sequence(constant_field(1.0), mesh)
     assert seq.period == 1
-    assert seq.pair_for(0).F[0, 0] == 1.0
-    assert seq.pair_for(5).G[0, 0] == 1j
+    assert seq.pair_for(0).p[0, 0] == 1.0
+    assert seq.pair_for(5).p[0, 0] == 1.0
 
 
 def test_sequence_sinusoidal_period_two():
@@ -364,12 +441,9 @@ def test_sequence_sinusoidal_period_two():
     assert seq.period == 2
     x, y = mesh.xy()
     s1, s2 = case.field.separable_parts(x, y)
-    np.testing.assert_allclose(seq.pair_for(0).F, np.sqrt(s2 / s1), rtol=1e-14)
-    np.testing.assert_allclose(seq.pair_for(1).F, np.sqrt(s1 * s2), rtol=1e-14)
-    np.testing.assert_allclose(seq.pair_for(2).F, seq.pair_for(0).F)  # periodicity
-    for m in range(2):
-        pair = seq.pair_for(m)
-        assert np.imag(np.conj(pair.F) * pair.G).min() > 0
+    np.testing.assert_allclose(seq.pair_for(0).p, np.sqrt(s2 / s1), rtol=1e-14)
+    np.testing.assert_allclose(seq.pair_for(1).p, np.sqrt(s1 * s2), rtol=1e-14)
+    np.testing.assert_array_equal(seq.pair_for(2).p, seq.pair_for(0).p)  # periodicity
 
 
 def test_sequence_rings_period_one():
@@ -377,7 +451,7 @@ def test_sequence_rings_period_one():
     seq = build_sequence(radial_rings_field(), mesh)
     assert seq.period == 1
     x, y = mesh.xy()
-    np.testing.assert_allclose(seq.pair_for(0).F.real,
+    np.testing.assert_allclose(seq.pair_for(0).p,
                                np.sqrt(radial_rings_field().evaluate(x, y)), rtol=1e-14)
 
 
@@ -460,7 +534,7 @@ def test_chain_overflow_reports_location():
     from fpeit.pseudoanalytic import GeneratingSequence
     mesh = radial_mesh(6, 60)
     x, y = mesh.xy()
-    pair = pair_from_p(np.exp(355.0 * (x / 2 + math.sqrt(3) * y / 2)))
+    pair = GeneratingPair(np.exp(355.0 * (x / 2 + math.sqrt(3) * y / 2)))
     seq = GeneratingSequence(period=1, pairs=(pair,))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match="degree"):
