@@ -99,6 +99,9 @@ def run_solve(config: RunConfig, out_dir) -> int:
         "coefficient_tail": float(np.linalg.norm(fit.coefficients[top])),
         # how many digits of E are quadrature error
         "error_quadrature_gap": gap,
+        # one kept function per fit node, so the node fit interpolates the data
+        "basis_saturated": (config.fit_quadrature == "nodes"
+                            and len(res.basis.labels) == len(res.basis.theta)),
     }
     report = {
         "preset": config.preset,

@@ -475,14 +475,18 @@ def load_conductivity_csv(path) -> LimitCase:
     grid = data[order, 2].reshape(len(xs), len(ys))
     if np.any(grid <= 0) or not np.all(np.isfinite(grid)):
         raise ValidationError("conductivity CSV contains non-positive or non-finite values")
-    from scipy.interpolate import RegularGridInterpolator  # scipy loads only for CSV grids
+    g = np.pad(grid, ((0, 1), (0, 1)), mode="edge")  # row and column i + 1 of a one-node axis
 
-    interp = RegularGridInterpolator((xs, ys), grid, method="linear",
-                                     bounds_error=False, fill_value=None)
+    def cell(nodes, v):
+        """Grid interval i of each v, clamped to the hull, and the weight of node i + 1."""
+        v = np.clip(np.asarray(v, float), nodes[0], nodes[-1])
+        i = np.clip(np.searchsorted(nodes, v, side="right") - 1, 0, max(len(nodes) - 2, 0))
+        upper = np.append(nodes, nodes[-1] + 1.0)[i + 1]  # a one-node axis gets weight 0
+        return i, (v - nodes[i]) / (upper - nodes[i])
 
     def sampler(x, y):
-        xc = np.clip(np.asarray(x, float), xs[0], xs[-1])
-        yc = np.clip(np.asarray(y, float), ys[0], ys[-1])
-        return interp(np.stack([xc, yc], axis=-1))
+        (i, wx), (j, wy) = cell(xs, x), cell(ys, y)
+        return ((1 - wx) * ((1 - wy) * g[i, j] + wy * g[i, j + 1])
+                + wx * ((1 - wy) * g[i + 1, j] + wy * g[i + 1, j + 1]))
 
     return LimitCase(sampler, bounds=(float(grid.min()), float(grid.max())))

@@ -207,11 +207,11 @@ def _power_tables(seq: GeneratingSequence, mesh: RadialMesh, N: int, seeds,
     if N < 0:
         raise ValidationError(f"N must be non-negative, got {N}")
     out = np.empty((len(seeds), N + 1) + mesh.nodes.shape, dtype=complex)
-    p = seq.pair_for(0).p.T[:, None, :]
+    p = seq.pair_for(0).p
     for d, A, B in _Chains([pair.p for pair in seq.pairs], mesh, seeds, rule).powers(N):
-        Z = out[:, d].transpose(2, 0, 1)                         # (S+1, seeds, P) view
-        np.multiply(A, p, out=Z.real)
-        np.divide(B, p, out=Z.imag)
+        # write along the table's contiguous steps axis; read the steps-first state transposed
+        np.multiply(A.transpose(1, 2, 0), p, out=out[:, d].real)
+        np.divide(B.transpose(1, 2, 0), p, out=out[:, d].imag)
     return out
 
 

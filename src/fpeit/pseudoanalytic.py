@@ -338,25 +338,32 @@ def fg_integral(W: np.ndarray, pair: GeneratingPair, mesh: RadialMesh,
     return out
 
 
-def mesh_gradient(W: np.ndarray, mesh: RadialMesh):
-    """d/dx and d/dy of a mesh field by curvilinear central differences.
+def _gradient_operator(mesh: RadialMesh):
+    """W -> (d/dx W, d/dy W) on ``mesh`` by curvilinear central differences.
 
     Parameter derivatives along t (radial) and theta (angular, periodic) are
-    inverted through the numerically evaluated mesh Jacobian. The center
-    column (s = 0) is singular and returned as NaN; the rim column uses
-    one-sided differences in t.
+    inverted through the numerically evaluated mesh Jacobian. The stencil
+    weights and the Jacobian depend only on the mesh, so they are computed
+    here once and each call takes one difference pass over W per parameter.
+    The center column (s = 0) is singular and returned as NaN; the rim
+    column uses one-sided differences in t.
     """
-    W = np.asarray(W)
+    t, th = mesh.t, mesh.theta
+    # weights of f at the next node, the previous one and the node, and the denominator
+    hp, hm = t[2:] - t[1:-1], t[1:-1] - t[:-2]
+    t_next, t_prev, t_mid, t_den = hm ** 2, hp ** 2, hp ** 2 - hm ** 2, hp * hm * (hp + hm)
+    h1, h2 = t[-1] - t[-2], t[-1] - t[-3]
+    hp = (np.roll(th, -1) - th) % (2 * math.pi)
+    hp[hp == 0] = 2 * math.pi
+    hm = (th - np.roll(th, 1)) % (2 * math.pi)
+    hm[hm == 0] = 2 * math.pi
+    hp, hm = hp[:, None], hm[:, None]
+    q_next, q_prev, q_mid, q_den = hm ** 2, hp ** 2, hp ** 2 - hm ** 2, hp * hm * (hp + hm)
 
     def d_dt(f):
         out = np.empty(f.shape, dtype=f.dtype)
-        t = mesh.t
-        hp = (t[2:] - t[1:-1])[None, :]
-        hm = (t[1:-1] - t[:-2])[None, :]
-        out[:, 1:-1] = (hm ** 2 * f[:, 2:] - hp ** 2 * f[:, :-2]
-                        + (hp ** 2 - hm ** 2) * f[:, 1:-1]) / (hp * hm * (hp + hm))
+        out[:, 1:-1] = (t_next * f[:, 2:] - t_prev * f[:, :-2] + t_mid * f[:, 1:-1]) / t_den
         out[:, 0] = (f[:, 1] - f[:, 0]) / (t[1] - t[0])
-        h1, h2 = t[-1] - t[-2], t[-1] - t[-3]
         # second-order one-sided at the rim
         out[:, -1] = (f[:, -1] * (h1 + h2) / (h1 * h2)
                       - f[:, -2] * h2 / (h1 * (h2 - h1))
@@ -364,26 +371,33 @@ def mesh_gradient(W: np.ndarray, mesh: RadialMesh):
         return out
 
     def d_dtheta(f):
-        th = mesh.theta
-        fp = np.roll(f, -1, axis=0)
-        fm = np.roll(f, 1, axis=0)
-        hp = (np.roll(th, -1) - th) % (2 * math.pi)
-        hp[hp == 0] = 2 * math.pi
-        hm = (th - np.roll(th, 1)) % (2 * math.pi)
-        hm[hm == 0] = 2 * math.pi
-        hp, hm = hp[:, None], hm[:, None]
-        return (hm ** 2 * fp - hp ** 2 * fm + (hp ** 2 - hm ** 2) * f) / (hp * hm * (hp + hm))
+        out = np.empty(f.shape, dtype=f.dtype)
+        out[1:-1] = (q_next[1:-1] * f[2:] - q_prev[1:-1] * f[:-2]
+                     + q_mid[1:-1] * f[1:-1]) / q_den[1:-1]
+        # the first and last rays wrap around
+        out[0] = (q_next[0] * f[1] - q_prev[0] * f[-1] + q_mid[0] * f[0]) / q_den[0]
+        out[-1] = (q_next[-1] * f[0] - q_prev[-1] * f[-2] + q_mid[-1] * f[-1]) / q_den[-1]
+        return out
 
     xt, yt = d_dt(mesh.nodes.real), d_dt(mesh.nodes.imag)
     xq, yq = d_dtheta(mesh.nodes.real), d_dtheta(mesh.nodes.imag)
-    Wt, Wq = d_dt(W), d_dtheta(W)
     det = xt * yq - xq * yt
-    with np.errstate(divide="ignore", invalid="ignore"):
-        Wx = (Wt * yq - Wq * yt) / det
-        Wy = (Wq * xt - Wt * xq) / det
-    Wx[:, 0] = np.nan
-    Wy[:, 0] = np.nan
-    return Wx, Wy
+
+    def gradient(W):
+        Wt, Wq = d_dt(W), d_dtheta(W)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            Wx = (Wt * yq - Wq * yt) / det
+            Wy = (Wq * xt - Wt * xq) / det
+        Wx[:, 0] = np.nan
+        Wy[:, 0] = np.nan
+        return Wx, Wy
+
+    return gradient
+
+
+def mesh_gradient(W: np.ndarray, mesh: RadialMesh):
+    """d/dx and d/dy of a mesh field (see ``_gradient_operator``); NaN at the center column."""
+    return _gradient_operator(mesh)(np.asarray(W))
 
 
 def dz_field(W: np.ndarray, mesh: RadialMesh) -> np.ndarray:
@@ -397,10 +411,16 @@ def dzbar_field(W: np.ndarray, mesh: RadialMesh) -> np.ndarray:
 
 
 def _vekua_operator(p: np.ndarray, mesh: RadialMesh):
-    """W -> |dzbar(W) - b conj(W)| per node, with b = dzbar(p)/p computed once."""
+    """W -> |dzbar(W) - b conj(W)| per node; b = dzbar(p)/p and the mesh derivatives built once."""
+    gradient = _gradient_operator(mesh)
+
+    def dzbar(W):
+        Wx, Wy = gradient(np.asarray(W, dtype=complex))
+        return Wx + 1j * Wy
+
     p = np.asarray(p, dtype=float)
-    b = dzbar_field(p.astype(complex), mesh) / p
-    return lambda W: np.abs(dzbar_field(np.asarray(W, dtype=complex), mesh) - b * np.conj(W))
+    b = dzbar(p) / p
+    return lambda W: np.abs(dzbar(W) - b * np.conj(W))
 
 
 def vekua_residual(W: np.ndarray, p: np.ndarray, mesh: RadialMesh) -> np.ndarray:
@@ -490,7 +510,9 @@ def successor_residual_mesh(seq: GeneratingSequence, mesh: RadialMesh):
     order as the mesh is refined. Interior nodes only (the center column is
     singular and the rim column one-sided).
     """
+    gradient = _gradient_operator(mesh)
+
     def coefficients(pair):
-        return _coefficients(pair.p, mesh_gradient(pair.p, mesh), mesh_gradient(1.0 / pair.p, mesh))
+        return _coefficients(pair.p, gradient(pair.p), gradient(1.0 / pair.p))
 
     return [float(np.nanmax(g[:, 1:-1])) for g in _successor_gaps(seq, coefficients)]

@@ -99,6 +99,22 @@ def test_solve_writes_artifacts(tmp_path):
     assert odd["diagnostics"]["error_quadrature_gap"] is None
 
 
+def test_basis_saturated_marks_an_interpolating_node_fit(tmp_path):
+    # 2N+1 = 35 functions on the P = 35 nodes of sinusoidal; 17 with N = 8; the dense
+    # fit solves on the Q points, so its node residual stays informative
+    cases = (({}, True), ({"N": 8}, False), ({"fit_quadrature": "dense"}, False))
+    for k, (overrides, saturated) in enumerate(cases):
+        cfg = config_from_dict({"preset": "sinusoidal", **overrides})
+        assert run_solve(cfg, tmp_path / str(k)) == 0
+        report = json.loads((tmp_path / str(k) / "report.json").read_text())
+        assert report["diagnostics"]["basis_saturated"] is saturated
+        assert report["basis_size"] == min(2 * cfg.N + 1, cfg.P) == (17 if k == 1 else 35)
+        if saturated:
+            assert report["error_fit_nodes"] < 1e-12 < report["error"]
+        else:
+            assert report["error_fit_nodes"] > 1e-12
+
+
 def test_error_quadrature_gap_of_a_smooth_and_a_jump_case(tmp_path):
     # the smooth sinusoidal fit is resolved by Q/2 points, the jump of disk-0.6 is not
     gaps = {}

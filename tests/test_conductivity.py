@@ -231,6 +231,49 @@ def test_conductivity_csv_roundtrip(tmp_path):
     assert field.evaluate(0.05, 0.0) == pytest.approx(2.05, rel=1e-12)  # linear data is exact
 
 
+def write_grid_csv(path, xs, ys, grid):
+    with open(path, "w") as fh:
+        fh.write("x,y,sigma\n")
+        for a, x in enumerate(xs):
+            for b, y in enumerate(ys):
+                fh.write(f"{x:.17g},{y:.17g},{grid[a, b]:.17g}\n")
+
+
+@pytest.mark.parametrize("grid_kind", ["uniform", "non-uniform", "one-column"])
+def test_conductivity_csv_matches_scipy_bilinear(tmp_path, grid_kind):
+    from scipy.interpolate import RegularGridInterpolator
+
+    rng = np.random.default_rng(11)
+    if grid_kind == "uniform":
+        xs, ys = np.linspace(-0.7, 0.8, 16), np.linspace(-0.6, 0.5, 12)
+    elif grid_kind == "non-uniform":
+        xs = np.sort(rng.uniform(-0.7, 0.8, 14))
+        ys = np.sort(rng.uniform(-0.6, 0.5, 9))
+    else:
+        xs, ys = np.array([0.1]), np.linspace(-0.6, 0.5, 12)
+    grid = rng.uniform(0.5, 4.0, (len(xs), len(ys)))
+    path = tmp_path / "sigma.csv"
+    write_grid_csv(path, xs, ys, grid)
+    field = load_conductivity_csv(path)
+
+    r, a = np.sqrt(rng.uniform(0, 0.99, 400)), rng.uniform(0, 2 * math.pi, 400)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    blocks = [(r * np.cos(a), r * np.sin(a)),                      # inside the disk
+              (X.ravel(), Y.ravel()),                              # grid nodes
+              (np.full(50, xs[len(xs) // 2]), rng.uniform(ys[0], ys[-1], 50)),  # grid lines
+              (rng.uniform(xs[0], xs[-1], 50), rng.choice(ys, 50)),
+              ([0.95, -0.95, 0.0, 0.0, 0.6], [0.0, 0.1, 0.95, -0.95, -0.7])]  # outside the hull
+    x, y = (np.concatenate(c) for c in zip(*blocks))
+    interp = RegularGridInterpolator((xs, ys), grid, method="linear",
+                                     bounds_error=False, fill_value=None)
+    expected = interp(np.stack([np.clip(x, xs[0], xs[-1]), np.clip(y, ys[0], ys[-1])], axis=-1))
+    got = field.evaluate(x, y)
+    assert got.shape == expected.shape
+    np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
+    assert np.array_equal(field.evaluate(X, Y), grid)  # exact at the nodes
+    assert field.evaluate(0.95, 0.0) == pytest.approx(float(expected[-5]), rel=1e-14)  # scalars
+
+
 def test_conductivity_csv_validation(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("a,b,c\n1,2,3\n")

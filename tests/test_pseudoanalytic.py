@@ -11,7 +11,10 @@ from fpeit.conductivity import (
     sample_piecewise,
     scene_from_dict,
 )
+from fpeit import pseudoanalytic
 from fpeit.errors import NumericalError, ValidationError
+from fpeit.formal_powers import build_table, pseudoanalyticity_check
+from fpeit.presets import build_field, config_from_dict, corner_angles_for
 from fpeit.pseudoanalytic import (
     GeneratingPair,
     _coefficients,
@@ -422,6 +425,125 @@ def test_vekua_residual_examples():
     pfield = np.sqrt(case.sigma(x, y))
     res = vekua_residual(pfield.astype(complex), pfield, mesh)
     assert np.nanmax(res[interior]) < 1e-12
+
+
+# --- mesh derivative operator -----------------------------------------------------
+
+def reference_mesh_gradient(W, mesh):
+    """The mesh gradient as it was before the operator was built once per mesh: every
+    call re-derives the Jacobian from the node coordinates. Kept as the oracle."""
+    W = np.asarray(W)
+
+    def d_dt(f):
+        out = np.empty(f.shape, dtype=f.dtype)
+        t = mesh.t
+        hp = (t[2:] - t[1:-1])[None, :]
+        hm = (t[1:-1] - t[:-2])[None, :]
+        out[:, 1:-1] = (hm ** 2 * f[:, 2:] - hp ** 2 * f[:, :-2]
+                        + (hp ** 2 - hm ** 2) * f[:, 1:-1]) / (hp * hm * (hp + hm))
+        out[:, 0] = (f[:, 1] - f[:, 0]) / (t[1] - t[0])
+        h1, h2 = t[-1] - t[-2], t[-1] - t[-3]
+        out[:, -1] = (f[:, -1] * (h1 + h2) / (h1 * h2)
+                      - f[:, -2] * h2 / (h1 * (h2 - h1))
+                      + f[:, -3] * h1 / (h2 * (h2 - h1)))
+        return out
+
+    def d_dtheta(f):
+        th = mesh.theta
+        fp = np.roll(f, -1, axis=0)
+        fm = np.roll(f, 1, axis=0)
+        hp = (np.roll(th, -1) - th) % (2 * math.pi)
+        hp[hp == 0] = 2 * math.pi
+        hm = (th - np.roll(th, 1)) % (2 * math.pi)
+        hm[hm == 0] = 2 * math.pi
+        hp, hm = hp[:, None], hm[:, None]
+        return (hm ** 2 * fp - hp ** 2 * fm + (hp ** 2 - hm ** 2) * f) / (hp * hm * (hp + hm))
+
+    xt, yt = d_dt(mesh.nodes.real), d_dt(mesh.nodes.imag)
+    xq, yq = d_dtheta(mesh.nodes.real), d_dtheta(mesh.nodes.imag)
+    Wt, Wq = d_dt(W), d_dtheta(W)
+    det = xt * yq - xq * yt
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Wx = (Wt * yq - Wq * yt) / det
+        Wy = (Wq * xt - Wt * xq) / det
+    Wx[:, 0] = np.nan
+    Wy[:, 0] = np.nan
+    return Wx, Wy
+
+
+def preset_field(name):
+    return build_field(config_from_dict({"preset": name}))
+
+
+def gradient_meshes():
+    triangle = config_from_dict({"preset": "triangle"})
+    corners = corner_angles_for(triangle, build_field(triangle))
+    return {"uniform": radial_mesh(35, 100), "graded": radial_mesh(24, 60, rim_grading=2.0),
+            "corner-snapped": radial_mesh(61, 40, corner_angles=corners),
+            "minimal": radial_mesh(3, 3)}
+
+
+@pytest.mark.parametrize("name", ["uniform", "graded", "corner-snapped", "minimal"])
+def test_mesh_gradient_matches_reference_bitwise(name):
+    mesh = gradient_meshes()[name]
+    if name == "corner-snapped":  # the snapped rays leave unequal angular gaps
+        assert np.ptp(np.diff(mesh.theta)) > 1e-3
+    x, y = mesh.xy()
+    rng = np.random.default_rng(3)
+    fields = [np.exp(0.4 * x - 0.3 * y), rng.standard_normal(x.shape),
+              mesh.nodes ** 3 + np.conj(mesh.nodes),
+              rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)]
+    for W in fields:
+        for got, ref in zip(mesh_gradient(W, mesh), reference_mesh_gradient(W, mesh)):
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref, equal_nan=True)
+
+
+@pytest.mark.parametrize("name", ["sinusoidal", "disk-0.6"])
+def test_verify_residuals_match_reference_loops(name):
+    # a period-2 and a period-1 preset, on the derivative oracle kept above
+    mesh = radial_mesh(35, 60)
+    seq = build_sequence(preset_field(name), mesh)
+    assert seq.period == (2 if name == "sinusoidal" else 1)
+    table = build_table(seq, mesh, 5)
+
+    def dzbar(W):
+        Wx, Wy = reference_mesh_gradient(np.asarray(W, dtype=complex), mesh)
+        return Wx + 1j * Wy
+
+    p = seq.pair_for(0).p
+    b = dzbar(p) / p
+    expected = [float(np.nanmax(np.fmax(*(np.abs(dzbar(Z[n]) - b * np.conj(Z[n]))
+                                          for Z in (table.Z1, table.Zi)))[:, 1:-1]))
+                for n in range(table.N + 1)]
+    assert np.array_equal(pseudoanalyticity_check(table, p), expected)
+
+    def coefficients(pair):
+        return _coefficients(pair.p, reference_mesh_gradient(pair.p, mesh),
+                             reference_mesh_gradient(1.0 / pair.p, mesh))
+
+    Bb = [coefficients(pair) for pair in seq.pairs]
+    expected = [float(np.nanmax(np.abs(Bb[(m + 1) % seq.period][0] + Bb[m][1])[:, 1:-1]))
+                for m in range(seq.period)]
+    assert successor_residual_mesh(seq, mesh) == expected
+
+
+def test_mesh_derivatives_are_built_once_per_check(monkeypatch):
+    builds = []
+    build = pseudoanalytic._gradient_operator
+
+    def counting(mesh):
+        builds.append(mesh)
+        return build(mesh)
+
+    monkeypatch.setattr(pseudoanalytic, "_gradient_operator", counting)
+    mesh = radial_mesh(16, 40)
+    seq = build_sequence(sinusoidal_case(math.pi).field, mesh)
+    table = build_table(seq, mesh, 8)
+    pseudoanalyticity_check(table, seq.pair_for(0).p)
+    assert len(builds) == 1  # not 2(N+1)+1 = 19
+    successor_residual_mesh(seq, mesh)
+    assert len(builds) == 2  # one for both pairs
 
 
 # --- sequences ---------------------------------------------------------------------
