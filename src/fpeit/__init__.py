@@ -30,7 +30,7 @@ _EXPORTS = {
     ),
     "boundary_solver": (
         "BoundarySystem", "FitResult", "OrthonormalBasis", "SolveResult",
-        "boundary_system", "error_norm", "fit_coefficients", "inner_product",
+        "error_norm", "fit_coefficients", "inner_product",
         "orthonormalize", "reconstruct_interior", "solve_dirichlet",
         "upsample_periodic_linear",
     ),

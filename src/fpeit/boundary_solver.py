@@ -1,7 +1,9 @@
 """Orthonormalization, fitting, the error norm and the end-to-end pipeline.
 
 The raw boundary system and its canonical trace order and labels come from
-``fpeit.formal_powers.boundary_system``.
+``fpeit.formal_powers.rim_traces``; the fitted function, on the rim for the
+dense error and in the interior for ``interior.csv``, from
+``fpeit.formal_powers.fitted_field``. The solve builds no formal-power table.
 """
 
 from __future__ import annotations
@@ -15,14 +17,7 @@ import numpy as np
 
 from .conductivity import ConductivityField
 from .errors import ValidationError
-from .formal_powers import (
-    BoundarySystem,
-    FormalPowerTable,
-    boundary_system,
-    build_table,
-    rim_fit,
-    rim_traces,
-)
+from .formal_powers import BoundarySystem, fitted_field, rim_traces
 from .pseudoanalytic import GeneratingSequence, RadialMesh, build_sequence, radial_mesh
 
 log = logging.getLogger(__name__)
@@ -107,7 +102,7 @@ class FitResult:
 
     labels: np.ndarray         # (K,)
     coefficients: np.ndarray   # (K,) b_alpha
-    raw_coefficients: np.ndarray  # (M,) combination over the raw traces
+    seeds: np.ndarray          # (N+1,) complex Horner seeds a_n = c_n + i c_(N+1+n)
     fitted: np.ndarray         # (P,) fitted trace at the fit nodes
     error: float               # Lebesgue-norm residual on Q dense points
     error_fit_nodes: float     # discrete residual at the fit nodes
@@ -149,17 +144,15 @@ def upsample_periodic_linear(theta_src: np.ndarray, values: np.ndarray,
                      period=2 * math.pi)
 
 
-def reconstruct_interior(table: FormalPowerTable, transform: np.ndarray,
-                         b: np.ndarray) -> np.ndarray:
-    """Interior field sum_alpha b_alpha u~_alpha(z) on the mesh nodes.
+def reconstruct_interior(res: SolveResult) -> np.ndarray:
+    """Interior field Re sum_n Z^(n)(a_n) of a solve on its mesh nodes, (P, S+1).
 
-    u~_alpha is the basis transform applied to the interior real parts of the
-    formal powers; the boundary restriction reproduces the fitted trace
-    exactly because the transform and coefficients are shared.
+    It is the fitted combination of the raw traces' formal powers, run as
+    one Horner chain from the fit's seeds; its boundary column reproduces
+    the fitted trace up to rounding.
     """
-    c = np.asarray(transform).T @ np.asarray(b)
-    re_fields = np.concatenate([table.Z1.real, table.Zi[1:].real], axis=0)  # (M, P, S+1)
-    return np.einsum("m,mps->ps", c, re_fields)
+    return fitted_field(res.sequence, res.mesh, len(res.fit.seeds) - 1, res.fit.seeds,
+                        rule=res.fit.config["rule"])
 
 
 # --------------------------------------------------------------------------
@@ -171,7 +164,6 @@ class SolveResult:
     fit: FitResult
     mesh: RadialMesh
     sequence: GeneratingSequence
-    table: FormalPowerTable
     basis: OrthonormalBasis
     theta_dense: np.ndarray
     data_dense: np.ndarray
@@ -190,7 +182,7 @@ def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 
     ``data_fn`` maps boundary angles to imposed Dirichlet values. The
     residual norm is integrated on Q equally spaced boundary points; with
     ``dense_error`` (default) the fitted trace is re-evaluated there on a
-    Q-ray mesh (``rim_fit``: one Horner chain per ray block), otherwise it
+    Q-ray mesh (``fitted_field``: one Horner chain per ray block), otherwise it
     is upsampled from the fit nodes by periodic linear interpolation.
 
     ``fit_quadrature`` selects where the coefficients are determined:
@@ -217,42 +209,41 @@ def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 
     t0 = time.monotonic()
     mesh = radial_mesh(P, S, rim_grading=rim_grading, corner_angles=corner_angles)
     seq = build_sequence(field, mesh)
-    table = build_table(seq, mesh, N, rule=rule)
+    system = rim_traces(seq, mesh, N, rule=rule)
     timings["build"] = time.monotonic() - t0
 
     t1 = time.monotonic()
-    system = boundary_system(table)
     basis = orthonormalize(system, drop_tol=drop_tol)
     data_P = np.asarray(data_fn(mesh.theta), dtype=float)
     b, fitted = fit_coefficients(basis, data_P)
     timings["fit"] = time.monotonic() - t1
 
+    theta_q = 2.0 * math.pi * np.arange(Q) / Q
+    data_q = np.asarray(data_fn(theta_q), dtype=float)
+    t2 = time.monotonic()
     if dense_error:
-        t2 = time.monotonic()
         mesh_q = radial_mesh(Q, S, rim_grading=rim_grading)
         seq_q = build_sequence(field, mesh_q)
-        if fit_quadrature == "dense":
-            raw_q = rim_traces(seq_q, mesh_q, N, rule=rule)
-        else:
-            # raw coefficients by label (the reserved label N+1 is 0): a_n = c_n + i c_(N+1+n)
-            c_full = np.zeros(2 * N + 2)
-            c_full[system.labels] = basis.transform.T @ b
-            fit_q = rim_fit(seq_q, mesh_q, N, c_full[:N + 1] + 1j * c_full[N + 1:], rule=rule)
+    if fit_quadrature == "dense":
+        raw_q = rim_traces(seq_q, mesh_q, N, rule=rule).raw
+        b, *_ = np.linalg.lstsq((basis.transform @ raw_q).T, data_q, rcond=None)
+        fitted = b @ basis.functions
+    c = basis.transform.T @ b
+    # raw coefficients by label (the reserved label N+1 is 0): a_n = c_n + i c_(N+1+n)
+    c_full = np.zeros(2 * N + 2)
+    c_full[system.labels] = c
+    seeds = c_full[:N + 1] + 1j * c_full[N + 1:]
+    if fit_quadrature == "dense":
+        fit_q = c @ raw_q
+    elif dense_error:
+        fit_q = fitted_field(seq_q, mesh_q, N, seeds, rule=rule)[:, -1].copy()
+    else:
+        fit_q = upsample_periodic_linear(mesh.theta, fitted, theta_q)
+    if dense_error:
         timings["dense_traces"] = time.monotonic() - t2
 
     t3 = time.monotonic()
-    theta_q = 2.0 * math.pi * np.arange(Q) / Q
-    data_q = np.asarray(data_fn(theta_q), dtype=float)
-    if fit_quadrature == "dense":
-        U_q = basis.transform @ raw_q
-        b, *_ = np.linalg.lstsq(U_q.T, data_q, rcond=None)
-        fitted = b @ basis.functions
     e_fit = error_norm(data_P, fitted, weights=mesh.boundary_weights)
-    c = basis.transform.T @ b
-    if fit_quadrature == "dense":
-        fit_q = c @ raw_q
-    elif not dense_error:
-        fit_q = upsample_periodic_linear(mesh.theta, fitted, theta_q)
     E = error_norm(data_q, fit_q)
     timings["error"] = time.monotonic() - t3
     timings["total"] = time.monotonic() - t0
@@ -262,8 +253,8 @@ def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 
                  "rule": rule, "rim_grading": rim_grading,
                  "corner_angles": [float(a) for a in corner_angles],
                  "drop_tol": drop_tol, "fit_quadrature": fit_quadrature})
-    fit_res = FitResult(labels=basis.labels, coefficients=b, raw_coefficients=c,
+    fit_res = FitResult(labels=basis.labels, coefficients=b, seeds=seeds,
                         fitted=fitted, error=E, error_fit_nodes=e_fit, config=echo)
-    return SolveResult(fit=fit_res, mesh=mesh, sequence=seq, table=table, basis=basis,
+    return SolveResult(fit=fit_res, mesh=mesh, sequence=seq, basis=basis,
                        theta_dense=theta_q, data_dense=data_q, fit_dense=fit_q,
                        timings=timings)

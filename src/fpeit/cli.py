@@ -73,7 +73,7 @@ def run_solve(config: RunConfig, out_dir) -> int:
                           config_echo={"preset": config.preset})
     fit = res.fit
     if config.interior:
-        u = reconstruct_interior(res.table, res.basis.transform, fit.coefficients)
+        u = reconstruct_interior(res)
     t_write = time.monotonic()
     write_csv(out / "coefficients.csv", ["alpha", "b"],
               [rows(cells(fit.labels), cells(fit.coefficients))])
@@ -83,7 +83,8 @@ def run_solve(config: RunConfig, out_dir) -> int:
     if config.interior:
         write_csv(out / "interior.csv", ["x", "y", "u"], [rows(*map(cells, (*res.mesh.xy(), u)))])
     if config.dump_powers:
-        write_powers_csv(res.table, out / "powers.csv")
+        table = build_table(res.sequence, res.mesh, config.N, rule=config.rule)
+        write_powers_csv(table, out / "powers.csv")
     timings = {**res.timings, "write": time.monotonic() - t_write}
 
     significant = int(np.sum(np.abs(fit.coefficients) > 1e-3))

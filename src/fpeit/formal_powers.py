@@ -27,7 +27,12 @@ quadrature operator.
 
 Z^(n)(a) is real-linear in the seed a, and so is each pair integral, so a
 combination sum_n Z^(n)(a_n) is one chain of N steps, run by Horner's rule
-from degree N down (``rim_fit``).
+from degree N down (``fitted_field``).
+
+The solver reads only the boundary traces (``rim_traces``) and the fitted
+combination (``fitted_field``), neither of which holds more than one ray
+block of chains. The full table (``build_table``) is built only for the
+``powers.csv`` dump and the ``verify`` residuals, which read every entry.
 """
 
 from __future__ import annotations
@@ -63,11 +68,6 @@ class FormalPowerTable:
     Z1: np.ndarray  # (N+1, P, S+1) complex, seed 1
     Zi: np.ndarray  # (N+1, P, S+1) complex, seed i
 
-    def re_trace(self, seed: str, n: int) -> np.ndarray:
-        """Boundary trace Re Z^(n)(seed)|_Gamma at the ray endpoints."""
-        Z = self.Z1 if seed == "1" else self.Zi
-        return Z[n, :, -1].real.copy()
-
 
 @dataclass(frozen=True)
 class BoundarySystem:
@@ -77,26 +77,6 @@ class BoundarySystem:
     weights: np.ndarray  # (P,) closed-curve trapezoid arc weights
     raw: np.ndarray      # (M, P) rows are the raw trace functions
     labels: np.ndarray   # (M,) coefficient labels (slot N+1 reserved, absent)
-
-
-def boundary_system(table: FormalPowerTable) -> BoundarySystem:
-    """Real parts of the table's boundary traces in the canonical order.
-
-    The N+1 seed-1 traces come first, then the N seed-i traces of degrees
-    1..N (the degree-0 seed-i trace is identically zero on the boundary and
-    is excluded). Labels reserve the slot of the excluded function: the
-    seed-1 trace of degree n carries label n, the seed-i trace of degree n
-    carries label N+1+n, so labels run over {0..N} u {N+2..2N+1}, which is
-    the indexing the coefficient tables use.
-    """
-    N = table.N
-    rows = [table.re_trace("1", n) for n in range(N + 1)]
-    rows += [table.re_trace("i", n) for n in range(1, N + 1)]
-    labels = list(range(N + 1)) + [N + 1 + n for n in range(1, N + 1)]
-    return BoundarySystem(theta=table.mesh.theta.copy(),
-                          weights=table.mesh.boundary_weights.copy(),
-                          raw=np.asarray(rows, dtype=float),
-                          labels=np.asarray(labels, dtype=int))
 
 
 def _check_finite(state: np.ndarray, degree: int, first_ray: int):
@@ -261,12 +241,16 @@ def _over_ray_blocks(seq: GeneratingSequence, mesh: RadialMesh, seeds, rule: str
 
 
 def rim_traces(seq: GeneratingSequence, mesh: RadialMesh, N: int,
-               rule: str = "cubic") -> np.ndarray:
-    """Raw boundary traces (2N+1, P) of the table on ``mesh``, without the table.
+               rule: str = "cubic") -> BoundarySystem:
+    """Real parts of the boundary traces of the formal powers on ``mesh``, without the table.
 
-    Equals ``boundary_system(build_table(seq, mesh, N, rule)).raw`` bit for
-    bit. Each ray block runs the chains of both seeds, keeps only
-    Re Z = p A at the rim and is dropped.
+    The N+1 seed-1 traces come first, then the N seed-i traces of degrees
+    1..N (the degree-0 seed-i trace is identically zero on the boundary and
+    is excluded). Labels reserve the slot of the excluded function: the
+    seed-1 trace of degree n carries label n, the seed-i trace of degree n
+    carries label N+1+n, so labels run over {0..N} u {N+2..2N+1}, which is
+    the indexing the coefficient tables use. Each ray block runs the chains
+    of both seeds, keeps only Re Z = p A at the rim and is dropped.
     """
     raw = np.empty((2 * N + 1, mesh.ray_count))
     p_rim = seq.pair_for(0).p[:, -1]
@@ -278,20 +262,21 @@ def rim_traces(seq: GeneratingSequence, mesh: RadialMesh, N: int,
                 raw[N + d, rays] = A[-1, 1] * p_rim[rays]
 
     _over_ray_blocks(seq, mesh, (1.0, 1j), rule, traces)
-    return raw
+    return BoundarySystem(theta=mesh.theta.copy(), weights=mesh.boundary_weights.copy(),
+                          raw=raw, labels=np.r_[0:N + 1, N + 2:2 * N + 2])
 
 
-def rim_fit(seq: GeneratingSequence, mesh: RadialMesh, N: int, a,
-            rule: str = "cubic") -> np.ndarray:
-    """Re sum_n Z^(n)(a_n) at the rim of ``mesh``, a (P,) array, without the traces.
+def fitted_field(seq: GeneratingSequence, mesh: RadialMesh, N: int, a,
+                 rule: str = "cubic") -> np.ndarray:
+    """Re sum_n Z^(n)(a_n) at every node of ``mesh``, a (P, S+1) array, without the table.
 
     The sum is one chain, run by Horner's rule on a single-seed state per
     ray block: Z0(a_0) + 1 I_0(Z0(a_1) + 2 I_1(Z0(a_2) + ...)), with Z0(a)
     at pair index j the degree-0 power of seed a and I_j the pair-j integral.
     """
-    fit = np.empty(mesh.ray_count)
+    out = np.empty(mesh.nodes.shape)
     k, S = seq.period, mesh.step_count
-    p_rim = seq.pair_for(0).p[:, -1]
+    p = seq.pair_for(0).p
 
     def horner(rays: slice, chains: _Chains):
         chains.state[:] = 0.0
@@ -300,10 +285,10 @@ def rim_fit(seq: GeneratingSequence, mesh: RadialMesh, N: int, a,
             chains.step((d % k, (d - 1) % k), d)
             _check_finite(chains.state[:S + 1], d, chains.first_ray)
             chains.add_degree_zero((d - 1) % k, (a[d - 1],))
-        fit[rays] = chains.state[S, 0, 0] * p_rim[rays]
+        out[rays] = chains.state[:S + 1, 0, 0].T * p[rays]
 
     _over_ray_blocks(seq, mesh, (a[N],), rule, horner)
-    return fit
+    return out
 
 
 def pseudoanalyticity_check(table: FormalPowerTable, p: np.ndarray,

@@ -85,6 +85,10 @@ class RunConfig:
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not math.isfinite(value)):
                 raise ValidationError(f"thresholds {key} must be a finite number, got {value!r}")
+        for key, allowed in (("rule", ("cubic", "trapezoid")),
+                             ("fit_quadrature", ("nodes", "dense"))):
+            if getattr(self, key) not in allowed:
+                raise ValidationError(f"{key} must be one of {allowed}, got {getattr(self, key)!r}")
         if self.drop_tol >= 1:
             raise ValidationError(f"drop_tol must be below 1, got {self.drop_tol!r}")
         if self.N < 1:
@@ -191,6 +195,15 @@ def load_config(path) -> RunConfig:
     return config_from_dict(doc)
 
 
+def _slab_parameter(spec: dict, key: str, default, kind=numbers.Real):
+    """Parameter ``key`` of a slab construction spec, a finite ``kind`` that is not a bool."""
+    value = spec.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+        noun = "integer" if kind is numbers.Integral else "number"
+        raise ValidationError(f"slab parameter {key} must be a finite {noun}, got {value!r}")
+    return value
+
+
 def build_field(config: RunConfig) -> ConductivityField:
     """Instantiate the conductivity field described by the config."""
     spec = dict(config.conductivity)
@@ -212,7 +225,7 @@ def build_field(config: RunConfig) -> ConductivityField:
     if variant == "piecewise":
         try:
             samples = [(s["chi"], list(zip(s["ys"], s["sigmas"]))) for s in spec["samples"]]
-            return build_piecewise(samples, spec["edges"], K=spec.get("K", 2.0),
+            return build_piecewise(samples, spec["edges"], K=_slab_parameter(spec, "K", 2.0),
                                    interpolant=spec.get("interpolant", "linear"))
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed piecewise conductivity spec: {exc!r}") from exc
@@ -220,8 +233,10 @@ def build_field(config: RunConfig) -> ConductivityField:
         base = config_from_dict({"conductivity": spec.get("source", {}),
                                  "boundary_data": {"case": "constant"}})
         src = build_field(base)
-        return sample_piecewise(src.evaluate, M=int(spec.get("M", 16)), q=int(spec.get("q", 16)),
-                                K=spec.get("K", 2.0), interpolant=spec.get("interpolant", "linear"))
+        return sample_piecewise(src.evaluate, M=_slab_parameter(spec, "M", 16, numbers.Integral),
+                                q=_slab_parameter(spec, "q", 16, numbers.Integral),
+                                K=_slab_parameter(spec, "K", 2.0),
+                                interpolant=spec.get("interpolant", "linear"))
     if variant == "limit-of":
         base = config_from_dict({"conductivity": spec.get("source", {}),
                                  "boundary_data": {"case": "constant"}})

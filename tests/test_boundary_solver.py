@@ -1,11 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fpeit.boundary_solver import (
     BoundarySystem,
-    boundary_system,
     error_norm,
     fit_coefficients,
     inner_product,
@@ -14,11 +14,14 @@ from fpeit.boundary_solver import (
     solve_dirichlet,
     upsample_periodic_linear,
 )
-from fpeit.conductivity import constant_field, radial_rings_field
+from fpeit.conductivity import constant_field, radial_rings_field, scene_from_dict
 from fpeit.errors import ValidationError
-from fpeit.formal_powers import build_table
+from fpeit.formal_powers import build_table, rim_traces
+from fpeit.presets import build_boundary_data, build_field, config_from_dict, corner_angles_for
 from fpeit.pseudoanalytic import build_sequence, radial_mesh
 from fpeit.verification import shifted_cubic, sinusoidal_case
+
+from test_formal_powers import DISK_SCENE
 
 
 def uniform_system(P, funcs, labels=None):
@@ -77,12 +80,11 @@ def test_orthonormalize_zero_function_dropped_not_fatal():
 
 def sigma_one_basis(N=17, P=35, S=120):
     mesh = radial_mesh(P, S)
-    table = build_table(build_sequence(constant_field(1.0), mesh), mesh, N)
-    return table, boundary_system(table)
+    return rim_traces(build_sequence(constant_field(1.0), mesh), mesh, N)
 
 
 def test_sigma_one_all_functions_kept_and_rank_oracle():
-    table, system = sigma_one_basis()
+    system = sigma_one_basis()
     basis = orthonormalize(system)
     assert len(basis.labels) == 35
     # independent oracle: the weighted Gram matrix has full numerical rank
@@ -95,12 +97,12 @@ def test_sigma_one_all_functions_kept_and_rank_oracle():
 
 
 def test_labels_reserve_excluded_slot():
-    table, system = sigma_one_basis(N=3, P=16, S=60)
+    system = sigma_one_basis(N=3, P=16, S=60)
     assert list(system.labels) == [0, 1, 2, 3, 5, 6, 7]  # slot 4 = N+1 reserved
 
 
 def test_fit_zero_data():
-    _, system = sigma_one_basis(N=5, P=16, S=60)
+    system = sigma_one_basis(N=5, P=16, S=60)
     basis = orthonormalize(system)
     b, fitted = fit_coefficients(basis, np.zeros_like(basis.theta))
     assert np.abs(b).max() == 0.0
@@ -108,7 +110,7 @@ def test_fit_zero_data():
 
 
 def test_fit_harmonic_quadratic():
-    table, system = sigma_one_basis(N=5, P=64, S=120)
+    system = sigma_one_basis(N=5, P=64, S=120)
     basis = orthonormalize(system)
     data = np.cos(2 * basis.theta)  # Re z^2 on the rim
     b, fitted = fit_coefficients(basis, data)
@@ -120,7 +122,7 @@ def test_fit_harmonic_quadratic():
 
 def test_fit_least_squares_optimality():
     # perturbing any single coefficient can only increase the discrete residual
-    table, system = sigma_one_basis(N=5, P=32, S=80)
+    system = sigma_one_basis(N=5, P=32, S=80)
     basis = orthonormalize(system)
     rng = np.random.default_rng(5)
     data = rng.normal(size=basis.theta.shape)
@@ -151,16 +153,53 @@ def test_upsample_periodic_linear():
 
 
 def test_reconstruct_interior_harmonic():
-    table, system = sigma_one_basis(N=5, P=48, S=150)
-    basis = orthonormalize(system)
-    data = np.cos(2 * basis.theta)
-    b, fitted = fit_coefficients(basis, data)
-    u = reconstruct_interior(table, basis.transform, b)
-    x, y = table.mesh.xy()
+    res = solve_dirichlet(constant_field(1.0), lambda th: np.cos(2 * th), N=5, P=48, S=150,
+                          Q=48, dense_error=False)
+    u = reconstruct_interior(res)
+    x, y = res.mesh.xy()
     np.testing.assert_allclose(u, x ** 2 - y ** 2, atol=1e-6)
     # boundary restriction reproduces the fitted trace exactly
-    np.testing.assert_allclose(u[:, -1], fitted, atol=1e-12)
-    zero = reconstruct_interior(table, basis.transform, np.zeros_like(b))
+    np.testing.assert_allclose(u[:, -1], res.fit.fitted, atol=1e-12)
+    zero = reconstruct_interior(replace(res, fit=replace(res.fit, seeds=0 * res.fit.seeds)))
+    assert np.abs(zero).max() == 0.0
+
+
+def reference_reconstruct_interior(res):
+    """The table route reconstruct_interior replaced: the fit's raw coefficients
+    combining the real parts of every formal power of the solve's table."""
+    table = build_table(res.sequence, res.mesh, len(res.fit.seeds) - 1, rule=res.fit.config["rule"])
+    c = res.basis.transform.T @ res.fit.coefficients
+    re_fields = np.concatenate([table.Z1.real, table.Zi[1:].real], axis=0)  # (M, P, S+1)
+    return np.einsum("m,mps->ps", c, re_fields)
+
+
+def triangle_solve():
+    # corner-snapped rays and the dense fit, which drops functions at N = 32
+    cfg = config_from_dict({"preset": "triangle"})
+    field = build_field(cfg)
+    return solve_dirichlet(field, build_boundary_data(cfg), N=cfg.N, P=cfg.P, S=100, Q=200,
+                           corner_angles=corner_angles_for(cfg, field),
+                           fit_quadrature=cfg.fit_quadrature)
+
+
+SINUSOIDAL = sinusoidal_case(math.pi)
+INTERIOR_CASES = {  # period 2, period 1, corner-snapped dense fit, graded rim
+    "sinusoidal": lambda: solve_dirichlet(SINUSOIDAL.field, SINUSOIDAL.boundary_data, N=9, P=35,
+                                          S=120, Q=35, dense_error=False),
+    "disk-scene": lambda: solve_dirichlet(scene_from_dict(DISK_SCENE), np.cos, N=9, P=35,
+                                          S=120, Q=35, dense_error=False),
+    "triangle": triangle_solve,
+    "graded": lambda: solve_dirichlet(SINUSOIDAL.field, SINUSOIDAL.boundary_data, N=9, P=35,
+                                      S=120, Q=200, rim_grading=2.0, rule="trapezoid"),
+}
+
+
+@pytest.mark.parametrize("case", INTERIOR_CASES)
+def test_reconstruct_interior_matches_the_table_oracle(case):
+    res = INTERIOR_CASES[case]()
+    u, ref = reconstruct_interior(res), reference_reconstruct_interior(res)
+    assert np.abs(u - ref).max() <= 1e-13 * np.abs(ref).max()
+    zero = reconstruct_interior(replace(res, fit=replace(res.fit, seeds=0 * res.fit.seeds)))
     assert np.abs(zero).max() == 0.0
 
 
@@ -171,7 +210,7 @@ def test_reconstruct_interior_qualitative_for_separable():
     # for the quantitative interior route.
     case = sinusoidal_case(math.pi)
     res = solve_dirichlet(case.field, case.boundary_data, N=17, P=35, S=300, Q=1000)
-    u = reconstruct_interior(res.table, res.basis.transform, res.fit.coefficients)
+    u = reconstruct_interior(res)
     x, y = res.mesh.xy()
     d = (x - 0.3) ** 2 + (y - 0.3) ** 2
     r, s = np.unravel_index(np.argmin(d), d.shape)

@@ -56,7 +56,8 @@ def test_config_validation_errors():
                                  {"thresholds": {"divergence": float("inf")}},
                                  {"thresholds": {"divergence": True}},
                                  {"thresholds": {"frobnicate": 1.0}},
-                                 {"thresholds": [1e-3]}],
+                                 {"thresholds": [1e-3]}, {"rule": "simpson"},
+                                 {"rule": None}, {"fit_quadrature": "bogus"}],
                          ids=lambda bad: "-".join(f"{k}={v!r}" for k, v in bad.items()))
 def test_bad_numeric_config_exits_2(tmp_path, capsys, bad):
     cfg_path = tmp_path / "cfg.json"
@@ -242,6 +243,32 @@ def test_conductivity_csv_with_non_finite_coordinates_exits_2(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert "non-finite x or y" in err
     assert "Traceback" not in err
+
+
+SLAB_SPECS = {
+    "piecewise-of": {"variant": "piecewise-of", "source": {"variant": "constant", "value": 2.0}},
+    "piecewise": {"variant": "piecewise", "edges": [-1.0, 1.0],
+                  "samples": [{"chi": 0.0, "ys": [-1.0, 1.0], "sigmas": [2.0, 2.0]}]},
+}
+
+
+@pytest.mark.parametrize("variant, bad",
+                         [("piecewise-of", {"M": 2.7}), ("piecewise-of", {"M": True}),
+                          ("piecewise-of", {"M": "x"}), ("piecewise-of", {"q": "x"}),
+                          ("piecewise-of", {"q": 4.0}), ("piecewise-of", {"K": "a"}),
+                          ("piecewise", {"K": "a"})],
+                         ids=lambda v: v if isinstance(v, str)
+                         else "-".join(f"{k}={x!r}" for k, x in v.items()))
+def test_bad_slab_parameters_exit_2(tmp_path, capsys, variant, bad):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"conductivity": {**SLAB_SPECS[variant], **bad},
+                                    "boundary_data": {"case": "constant"},
+                                    "N": 2, "P": 6, "S": 50, "Q": 12}))
+    for command in ("solve", "verify"):
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid input" in err and f"parameter {next(iter(bad))} " in err
+        assert "Traceback" not in err
 
 
 def test_piecewise_of_and_limit_of_variants():

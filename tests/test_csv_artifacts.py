@@ -3,9 +3,10 @@
 import csv
 
 import numpy as np
+import pytest
 
-from fpeit import cli
-from fpeit.formal_powers import FormalPowerTable, write_powers_csv
+from fpeit import cli, formal_powers
+from fpeit.formal_powers import FormalPowerTable, build_table, write_powers_csv
 from fpeit.pseudoanalytic import radial_mesh
 
 from test_cli import small_rings_config
@@ -84,6 +85,23 @@ def test_solve_artifacts_match_the_row_writers(tmp_path, monkeypatch):
     ref.mkdir()
     assert cli.run_solve(small_rings_config(interior=True, dump_powers=True), out) == 0
     reference_solve_artifacts(seen["res"], seen["u"], ref)
-    reference_powers_csv(seen["res"].table, ref / "powers.csv")
+    res = seen["res"]
+    reference_powers_csv(build_table(res.sequence, res.mesh, 8), ref / "powers.csv")
     for name in ("coefficients.csv", "boundary_fit.csv", "interior.csv", "powers.csv"):
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("over, tables", [({}, 0), ({"fit_quadrature": "dense"}, 0),
+                                          ({"dump_powers": True}, 1)],
+                         ids=["nodes-fit", "dense-fit", "dump"])
+def test_solve_builds_the_table_only_for_the_powers_dump(tmp_path, monkeypatch, over, tables):
+    calls = []
+    real = formal_powers._power_tables
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(formal_powers, "_power_tables", counting)
+    assert cli.run_solve(small_rings_config(interior=True, **over), tmp_path) == 0
+    assert len(calls) == tables

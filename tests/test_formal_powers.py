@@ -11,12 +11,12 @@ from fpeit.conductivity import constant_field, radial_rings_field, scene_from_di
 from fpeit.errors import NumericalError
 from fpeit.formal_powers import (
     RAY_BLOCK,
-    boundary_system,
+    BoundarySystem,
     build_table,
+    fitted_field,
     formal_power_fields,
     pseudoanalyticity_check,
     ray_workers,
-    rim_fit,
     rim_traces,
     write_powers_csv,
 )
@@ -90,7 +90,7 @@ def test_seed_i_degree_zero_trace_vanishes():
     mesh = radial_mesh(12, 80)
     case = sinusoidal_case(math.pi)
     table = build_table(build_sequence(case.field, mesh), mesh, 3)
-    assert np.abs(table.re_trace("i", 0)).max() <= 1e-14
+    assert np.abs(table.Zi[0, :, -1].real).max() <= 1e-14
 
 
 def test_linearity_in_the_seed():
@@ -243,6 +243,16 @@ def test_powers_csv_dump(tmp_path):
     np.testing.assert_array_equal(back[:, 6], Z.imag.ravel())
 
 
+def reference_boundary_system(table):
+    """The table route rim_traces replaced: the rim column of the table's real parts,
+    seed-1 degrees 0..N, then seed-i degrees 1..N, with label N+1 reserved."""
+    N = table.N
+    return BoundarySystem(theta=table.mesh.theta.copy(),
+                          weights=table.mesh.boundary_weights.copy(),
+                          raw=np.concatenate([table.Z1[:, :, -1].real, table.Zi[1:, :, -1].real]),
+                          labels=np.asarray(list(range(N + 1)) + list(range(N + 2, 2 * N + 2))))
+
+
 @pytest.mark.parametrize("field, period", [(sinusoidal_case(math.pi).field, 2),
                                            (scene_from_dict(DISK_SCENE), 1)],
                          ids=["sinusoidal", "disk-scene"])
@@ -253,8 +263,9 @@ def test_rim_traces_match_boundary_system(field, period, rays, grading):
     mesh = radial_mesh(rays, 60, rim_grading=grading)
     seq = build_sequence(field, mesh)
     assert seq.period == period
-    np.testing.assert_array_equal(rim_traces(seq, mesh, 6),
-                                  boundary_system(build_table(seq, mesh, 6)).raw)
+    system, ref = rim_traces(seq, mesh, 6), reference_boundary_system(build_table(seq, mesh, 6))
+    for name in ("theta", "weights", "raw", "labels"):
+        np.testing.assert_array_equal(getattr(system, name), getattr(ref, name))
 
 
 def test_rim_traces_do_not_depend_on_the_worker_count(monkeypatch):
@@ -263,7 +274,7 @@ def test_rim_traces_do_not_depend_on_the_worker_count(monkeypatch):
     traces = []
     for workers in ("1", "2"):
         monkeypatch.setenv("OMP_NUM_THREADS", workers)
-        traces.append(rim_traces(seq, mesh, 6))
+        traces.append(rim_traces(seq, mesh, 6).raw)
     np.testing.assert_array_equal(traces[0], traces[1])
 
 
@@ -285,8 +296,13 @@ def test_rim_fit_matches_combined_traces(field, period, rule, grading, N):
     seq = build_sequence(field, mesh)
     assert seq.period == period
     c, a = random_fit_coefficients(N)
-    ref = c @ rim_traces(seq, mesh, N, rule=rule)
-    assert np.abs(rim_fit(seq, mesh, N, a, rule=rule) - ref).max() <= 1e-13 * np.abs(ref).max()
+    ref = c @ rim_traces(seq, mesh, N, rule=rule).raw
+    fit = fitted_field(seq, mesh, N, a, rule=rule)
+    assert np.abs(fit[:, -1] - ref).max() <= 1e-13 * np.abs(ref).max()
+    # the whole field is the same combination of the table's real parts
+    table = build_table(seq, mesh, N, rule=rule)
+    ref_field = np.einsum("m,mps->ps", c, np.concatenate([table.Z1.real, table.Zi[1:].real]))
+    assert np.abs(fit - ref_field).max() <= 1e-13 * np.abs(ref_field).max()
 
 
 def test_rim_fit_does_not_depend_on_the_worker_count(monkeypatch):
@@ -296,7 +312,7 @@ def test_rim_fit_does_not_depend_on_the_worker_count(monkeypatch):
     fits = []
     for workers in ("1", "2"):
         monkeypatch.setenv("OMP_NUM_THREADS", workers)
-        fits.append(rim_fit(seq, mesh, 6, a))
+        fits.append(fitted_field(seq, mesh, 6, a))
     np.testing.assert_array_equal(fits[0], fits[1])
 
 
@@ -336,7 +352,7 @@ def test_rim_fit_reports_the_global_ray(monkeypatch):
     seq = build_sequence(constant_field(1.0), mesh)
     poison_ray(monkeypatch, 150)
     with pytest.raises(NumericalError, match=f"ray {BAD_RAY}, step 3"):
-        rim_fit(seq, mesh, 3, random_fit_coefficients(3)[1])
+        fitted_field(seq, mesh, 3, random_fit_coefficients(3)[1])
 
 
 def test_solve_exits_3_on_a_block_failure(tmp_path, monkeypatch, capsys):
