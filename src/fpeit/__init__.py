@@ -12,7 +12,7 @@ _EXPORTS = {
     "conductivity": (
         "AnalyticSeparable", "ConductivityField", "GeometricScene", "DiskShape",
         "AnnulusShape", "PolygonShape", "LimitCase", "PiecewiseSeparable",
-        "build_piecewise", "constant_field", "eval_radial_piecewise", "evaluate",
+        "build_piecewise", "constant_field", "eval_radial_piecewise",
         "load_conductivity_csv", "radial_rings_field", "sample_piecewise",
         "scene_from_dict",
     ),

@@ -42,7 +42,6 @@ class OrthonormalBasis:
     functions: np.ndarray   # (K, P) orthonormal rows u_alpha
     transform: np.ndarray   # (K, M): functions = transform @ raw
     labels: np.ndarray      # (K,) labels of the kept functions
-    raw_labels: np.ndarray  # (M,) labels of the raw system
     dropped: tuple          # ((label, residual_norm), ...)
     norm_ratios: np.ndarray  # (K,) post-projection / original norm of the kept functions
 
@@ -91,7 +90,6 @@ def orthonormalize(system: BoundarySystem, drop_tol: float = 1e-10) -> Orthonorm
                             functions=np.asarray(kept_u),
                             transform=np.asarray(kept_t),
                             labels=np.asarray(kept_labels, dtype=int),
-                            raw_labels=system.labels.copy(),
                             dropped=tuple(dropped),
                             norm_ratios=np.asarray(kept_ratios))
 

@@ -239,8 +239,6 @@ def _config_from_args(args) -> RunConfig:
         cfg = config_from_dict({"preset": args.preset})
     else:
         raise ValidationError("either --config or --preset is required")
-    if getattr(args, "dense_error", None) is True:
-        cfg.dense_error = True
     if getattr(args, "cheap_error", False):
         cfg.dense_error = False
     return cfg.validate()
@@ -264,8 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", parents=[common],
                              help="fit boundary data and write CSV artifacts")
     p_solve.add_argument("--out", type=str, default="out", help="output directory")
-    p_solve.add_argument("--dense-error", action="store_true", default=None,
-                         help="force dense re-evaluation of the fitted trace (default)")
     p_solve.add_argument("--cheap-error", action="store_true",
                          help="upsample the fitted trace instead of rebuilding it densely")
 

@@ -84,11 +84,6 @@ class ConductivityField:
         return float(out[0]) if scalar else out.reshape(x.shape)
 
 
-def evaluate(field: ConductivityField, x, y):
-    """Functional alias for ``field.evaluate(x, y)``."""
-    return field.evaluate(x, y)
-
-
 class AnalyticSeparable(ConductivityField):
     """sigma(x, y) = sigma1(x) * sigma2(y), both factors positive on [-1, 1]."""
 
@@ -383,6 +378,32 @@ class GeometricScene(ConductivityField):
         return tuple(angles)
 
 
+def _shape_from_dict(s: dict):
+    """One shape of a scene fragment; its geometry must be finite and enclose some area."""
+    kind = s["kind"]
+    if kind == "disk":
+        shape = DiskShape(float(s["cx"]), float(s["cy"]), float(s["r2"]), float(s["value"]))
+        geometry, empty = (shape.cx, shape.cy, shape.r2), shape.r2 <= 0
+    elif kind == "annulus":
+        shape = AnnulusShape(float(s["cx"]), float(s["cy"]), float(s["r2_inner"]),
+                             float(s["r2_outer"]), float(s["value"]))
+        geometry = (shape.cx, shape.cy, shape.r2_inner, shape.r2_outer)
+        empty = shape.r2_outer <= max(shape.r2_inner, 0.0)
+    elif kind == "polygon":
+        shape = PolygonShape(tuple((float(vx), float(vy)) for vx, vy in s["vertices"]),
+                             float(s["value"]))
+        if len(shape.vertices) < 3:
+            raise ValidationError("polygon needs at least 3 vertices")
+        geometry, empty = sum(shape.vertices, ()), False
+    else:
+        raise ValidationError(f"unknown shape kind {kind!r}")
+    if not all(map(math.isfinite, geometry)):
+        raise ValidationError(f"scene conductivity {kind} has non-finite geometry: {s!r}")
+    if empty:
+        raise ValidationError(f"scene conductivity {kind} encloses no area: {s!r}")
+    return shape
+
+
 def scene_from_dict(d: dict) -> GeometricScene:
     """Parse the scene JSON fragment.
 
@@ -396,25 +417,11 @@ def scene_from_dict(d: dict) -> GeometricScene:
     """
     try:
         background = float(d["background"])
-        shapes = []
-        for s in d.get("shapes", []):
-            kind = s["kind"]
-            if kind == "disk":
-                shapes.append(DiskShape(float(s["cx"]), float(s["cy"]),
-                                        float(s["r2"]), float(s["value"])))
-            elif kind == "annulus":
-                shapes.append(AnnulusShape(float(s["cx"]), float(s["cy"]),
-                                           float(s["r2_inner"]), float(s["r2_outer"]),
-                                           float(s["value"])))
-            elif kind == "polygon":
-                verts = tuple((float(vx), float(vy)) for vx, vy in s["vertices"])
-                if len(verts) < 3:
-                    raise ValidationError("polygon needs at least 3 vertices")
-                shapes.append(PolygonShape(verts, float(s["value"])))
-            else:
-                raise ValidationError(f"unknown shape kind {kind!r}")
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed scene fragment: {exc!r}") from exc
+        shapes = [_shape_from_dict(s) for s in d.get("shapes", [])]
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed scene conductivity: {exc!r}") from exc
     return GeometricScene(background, shapes)
 
 

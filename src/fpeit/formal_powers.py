@@ -15,9 +15,10 @@ intermediate of that chain carries pair index (s - d) mod 2, which is 0
 exactly when d and s share parity. Two chains (one per parity) therefore
 produce the whole table in O(N) integrations per seed.
 
-The chains run in real arithmetic. Every power is W = p A + i B / p with
-two real fields A, B: the running integrals of the pair integral that
-produced it (for degree 0, the constants lambda, mu).
+The chains run in real arithmetic, on the pair-integral kernel
+``pseudoanalytic._Chains``. Every power is W = p A + i B / p with two real
+fields A, B: the running integrals of the pair integral that produced it
+(for degree 0, the constants lambda, mu).
 The integrands of the next integral are linear in (A, B), with per-node
 coefficients that depend only on the two pairs involved and the ray span,
 so they are built once per mesh and shared by every seed. The chains of
@@ -43,10 +44,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import NumericalError, ValidationError
-from .pseudoanalytic import GeneratingSequence, RadialMesh, _vekua_operator
+from .errors import ValidationError
+from .pseudoanalytic import (GeneratingSequence, RadialMesh, _Chains, _check_finite,
+                             _vekua_operator)
 
 log = logging.getLogger(__name__)
 
@@ -77,108 +78,6 @@ class BoundarySystem:
     weights: np.ndarray  # (P,) closed-curve trapezoid arc weights
     raw: np.ndarray      # (M, P) rows are the raw trace functions
     labels: np.ndarray   # (M,) coefficient labels (slot N+1 reserved, absent)
-
-
-def _check_finite(state: np.ndarray, degree: int, first_ray: int):
-    """Raise on the first non-finite entry of a (steps, 2, seeds, rays) state, by ray then step."""
-    bad = ~np.isfinite(state)
-    if bad.any():
-        r, s = np.argwhere(bad.any(axis=(1, 2)).T)[0]
-        raise NumericalError(f"non-finite formal power value at degree {degree}, "
-                             f"ray {first_ray + r}, step {s}")
-
-
-def _step_coefficients(pk: np.ndarray, pj: np.ndarray, span: np.ndarray) -> np.ndarray:
-    """Integrand coefficients (S+1, 2, 2, P) of a chain step from pair p_k to pair p_j.
-
-    With W = pk A + i B / pk and span = sr + i si, the two real integrands of
-    the pair-j integral are A pk sr/pj - B si/(pk pj) and A pk pj si + B pj sr/pk;
-    ``pk`` and ``pj`` are (P, S+1).
-    """
-    pk, pj = pk.T, pj.T
-    sr, si = span.real, span.imag
-    return np.moveaxis([[pk * sr / pj, -si / (pk * pj)], [pk * pj * si, pj * sr / pk]], 2, 0)
-
-
-class _Chains:
-    """The formal-power chains of several seeds, run together on one mesh.
-
-    The state holds the real running integrals (A, B) of every chain, steps
-    first, as a (L, 2, seeds, P) array: W = p A + i B / p for the pair p
-    of the current degree (L - 1 >= S steps pad the last quadrature chunk).
-    Each degree forms both integrands of every chain from the state and
-    integrates them in one product, which writes straight into the state.
-    ``ps`` holds the p field (P, S+1) of each pair of the sequence's period;
-    ``first_ray`` is the index of the mesh's first ray in a larger mesh it
-    was sliced from, by which error messages report rays.
-    """
-
-    def __init__(self, ps: list, mesh: RadialMesh, seeds, rule: str = "cubic",
-                 first_ray: int = 0):
-        try:
-            op = mesh.chunk_ops[rule]
-        except KeyError:
-            raise ValidationError(f"unknown quadrature rule {rule!r}") from None
-        C, _, b = op.shape
-        self.ps, self.mesh, self.seeds, self.first_ray = ps, mesh, seeds, first_ray
-        S = mesh.step_count
-        self.state = np.empty((1 + C * b, 2, len(seeds), mesh.ray_count))
-        # Each chunk's operator is re-indexed from the mesh's window, clipped
-        # at both ends of the ray, to a window at the fixed stride b over an
-        # integrand buffer with zero rows around steps 0..S, so that the
-        # windows are views of the buffer rather than a gathered copy.
-        offset = mesh.chunk_nodes - b * np.arange(C)[:, None]   # node - c b
-        used = op.any(axis=2)
-        lo = offset[used].min()
-        width = offset[used].max() - lo + 1
-        chunk, row = np.nonzero(used)
-        self.op = np.zeros((C, b, width))          # chunk c: window rows -> b prefix sums
-        self.op[chunk, :, offset[chunk, row] - lo] = op[chunk, row]
-        buffer = np.zeros(((C - 1) * b + width, self.state[0].size))
-        self.integrands = buffer[-lo:S + 1 - lo].reshape((S + 1,) + self.state.shape[1:])
-        self.windows = sliding_window_view(buffer, width, axis=0)[::b].transpose(0, 2, 1)
-        self.coefficients = {}
-
-    def powers(self, N: int):
-        """Yield (d, A, B) at each pair-0 degree d <= N, A and B (S+1, seeds, P).
-
-        Z^(d)(seed) = p A + i B / p with the pair-0 p, steps first; A and B
-        are views of the state, which the next step overwrites.
-        """
-        k, S = len(self.ps), self.mesh.step_count
-        for start in range(min(k, N + 1)):
-            # the chain seeded at pair index `start` delivers the pair-0 powers of
-            # degrees d with (start - d) % k == 0, the last of them N - (N - start) % k
-            self.state[:] = 0.0
-            self.add_degree_zero(start % k, self.seeds)
-            if start % k == 0:
-                yield 0, self.state[:S + 1, 0], self.state[:S + 1, 1]
-            for d in range(1, N - (N - start) % k + 1):
-                pair = ((start - d + 1) % k, (start - d) % k)
-                self.step(pair, d)
-                _check_finite(self.state[:S + 1], d, self.first_ray)
-                if pair[1] == 0:
-                    yield d, self.state[:S + 1, 0], self.state[:S + 1, 1]
-
-    def add_degree_zero(self, j: int, seeds):
-        """Add to each chain the degree-0 power lambda p + i mu / p of its seed a with
-        the pair p of index j: lambda = Re a / p(z0), mu = p(z0) Im a."""
-        p0 = self.ps[j][0, 0]
-        self.state += np.array([[complex(a).real / p0 for a in seeds],
-                                [complex(a).imag * p0 for a in seeds]])[:, :, None]
-
-    def step(self, pair: tuple, d: int):
-        """Advance every chain to degree d: d times the integral, with the pair of
-        index ``pair[1]``, of the state, whose power carries pair index ``pair[0]``."""
-        if pair not in self.coefficients:
-            self.coefficients[pair] = _step_coefficients(self.ps[pair[0]], self.ps[pair[1]],
-                                                         self.mesh.span)
-        np.einsum("scir,sinr->scnr", self.coefficients[pair],
-                  self.state[:len(self.integrands)], out=self.integrands)
-        Y = self.state[1:].reshape(self.op.shape[:2] + (-1,))    # (C, b, columns)
-        np.matmul(d * self.op, self.windows, out=Y)
-        Y[1:] += np.cumsum(Y[:-1, -1:], axis=0)                   # carry the chunk totals
-        self.state[0] = 0.0
 
 
 def _power_tables(seq: GeneratingSequence, mesh: RadialMesh, N: int, seeds,

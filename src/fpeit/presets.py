@@ -97,10 +97,15 @@ class RunConfig:
             raise ValidationError(f"S must be >= 50, got {self.S}")
         if self.Q < self.P:
             raise ValidationError(f"Q={self.Q} must be at least P={self.P}")
-        if not self.conductivity:
-            raise ValidationError("config is missing the conductivity spec")
-        if not self.boundary_data:
-            raise ValidationError("config is missing the boundary data spec")
+        for key in ("conductivity", "boundary_data"):
+            spec = getattr(self, key)
+            if not isinstance(spec, dict):
+                raise ValidationError(f"{key} must be a JSON object, got {spec!r}")
+            if not spec:
+                raise ValidationError(f"config is missing the {key} spec")
+            for name in ("omega", "beta", "value"):
+                if name in spec:
+                    _parameter(spec, name, None, where=key)
         return self
 
     def to_dict(self) -> dict:
@@ -195,12 +200,12 @@ def load_config(path) -> RunConfig:
     return config_from_dict(doc)
 
 
-def _slab_parameter(spec: dict, key: str, default, kind=numbers.Real):
-    """Parameter ``key`` of a slab construction spec, a finite ``kind`` that is not a bool."""
+def _parameter(spec: dict, key: str, default, kind=numbers.Real, where: str = "slab"):
+    """Parameter ``key`` of a ``where`` spec, a finite ``kind`` that is not a bool."""
     value = spec.get(key, default)
     if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
         noun = "integer" if kind is numbers.Integral else "number"
-        raise ValidationError(f"slab parameter {key} must be a finite {noun}, got {value!r}")
+        raise ValidationError(f"{where} parameter {key} must be a finite {noun}, got {value!r}")
     return value
 
 
@@ -225,7 +230,7 @@ def build_field(config: RunConfig) -> ConductivityField:
     if variant == "piecewise":
         try:
             samples = [(s["chi"], list(zip(s["ys"], s["sigmas"]))) for s in spec["samples"]]
-            return build_piecewise(samples, spec["edges"], K=_slab_parameter(spec, "K", 2.0),
+            return build_piecewise(samples, spec["edges"], K=_parameter(spec, "K", 2.0),
                                    interpolant=spec.get("interpolant", "linear"))
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed piecewise conductivity spec: {exc!r}") from exc
@@ -233,9 +238,9 @@ def build_field(config: RunConfig) -> ConductivityField:
         base = config_from_dict({"conductivity": spec.get("source", {}),
                                  "boundary_data": {"case": "constant"}})
         src = build_field(base)
-        return sample_piecewise(src.evaluate, M=_slab_parameter(spec, "M", 16, numbers.Integral),
-                                q=_slab_parameter(spec, "q", 16, numbers.Integral),
-                                K=_slab_parameter(spec, "K", 2.0),
+        return sample_piecewise(src.evaluate, M=_parameter(spec, "M", 16, numbers.Integral),
+                                q=_parameter(spec, "q", 16, numbers.Integral),
+                                K=_parameter(spec, "K", 2.0),
                                 interpolant=spec.get("interpolant", "linear"))
     if variant == "limit-of":
         base = config_from_dict({"conductivity": spec.get("source", {}),

@@ -23,6 +23,12 @@ real: with W = u + iv on a ray dz = (sr + i si) dt,
     fg_integral(W) = p A + i B / p,
 
 where (F*, G*) = (-i p, 1/p) is the adjoint pair.
+
+The pair integral has one kernel, ``_Chains``: a state of real (A, B)
+fields, advanced one pair integral at a time by a blocked ray quadrature.
+The formal-power chains run on it, and ``fg_integral`` is one of its steps.
+``radial_mesh`` builds the quadrature operator once per mesh, in the strided
+chunk form that ``_Chains`` reads.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .conductivity import AnalyticSeparable, ConductivityField, PiecewiseSeparable
 from .errors import NumericalError, ValidationError
@@ -63,8 +70,7 @@ class RadialMesh:
     nodes: np.ndarray            # (P, S+1) complex
     span: np.ndarray             # (P,) complex, nodes[:, -1] - z0
     boundary_weights: np.ndarray  # (P,) closed-curve trapezoid arc weights
-    chunk_nodes: np.ndarray      # (C, b+3) node window read by each quadrature chunk
-    chunk_ops: dict              # rule -> (C, b+3, b) window-to-prefix-sum maps
+    chunk_ops: dict              # rule -> (lo, (C, b, width) window-to-prefix-sum maps)
 
     @property
     def ray_count(self):
@@ -106,27 +112,29 @@ def _cumulative_cubic_weights(t: np.ndarray):
 
 
 def _chunk_operators(t: np.ndarray):
-    """Cumulative ray quadrature on the grid t as per-chunk linear maps.
+    """Cumulative ray quadrature on the grid t as per-chunk linear maps, per rule.
 
     The S intervals form chunks of b = CHUNK (b = S - 2 when S < CHUNK + 2).
-    Chunk c reads the b + 3 nodes ``windows[c]`` holding its intervals'
-    stencils, and ``ops[rule][c]`` maps them to its b prefix sums; the running
-    integral adds the totals of the chunks before it.
+    Each rule gives (lo, op) with op of shape (C, b, width): chunk c reads
+    the ``width`` integrand values at steps c b + lo onwards, those outside
+    0..S read as zero, and ``op[c]`` maps them to the chunk's b prefix sums;
+    the running integral adds the totals of the chunks before it.
     """
     S = len(t) - 1
     b = CHUNK if S >= CHUNK + 2 else S - 2
     C = -(-S // b)
-    first = np.clip(np.arange(C) * b - 1, 0, S - b - 2)
     j = np.arange(S)
     half = 0.5 * np.diff(t)
     stencils = {"cubic": _cumulative_cubic_weights(t),
                 "trapezoid": (np.stack([j, j + 1], axis=1), np.stack([half, half], axis=1))}
     ops = {}
     for rule, (idx, w) in stencils.items():
-        inc = np.zeros((C, b + 3, b))
-        inc[(j // b)[:, None], idx - first[j // b, None], (j % b)[:, None]] = w
-        ops[rule] = np.cumsum(inc, axis=2)
-    return first[:, None] + np.arange(b + 3), ops
+        offset = idx - (j - j % b)[:, None]          # stencil steps from their chunk's start
+        lo = offset.min()
+        inc = np.zeros((C, b, offset.max() - lo + 1))
+        inc[(j // b)[:, None], (j % b)[:, None], offset - lo] = w
+        ops[rule] = lo, np.cumsum(inc, axis=1)
+    return ops
 
 
 def radial_mesh(P: int, S: int, z0: complex = 0j, rim_grading: float = 1.0,
@@ -182,35 +190,8 @@ def radial_mesh(P: int, S: int, z0: complex = 0j, rim_grading: float = 1.0,
 
     gaps = np.diff(np.concatenate([theta, [theta[0] + 2 * math.pi]]))
     bw = 0.5 * (gaps + np.roll(gaps, 1))
-    windows, ops = _chunk_operators(t)
     return RadialMesh(theta=theta, t=t, z0=z0, nodes=nodes, span=span,
-                      boundary_weights=bw, chunk_nodes=windows, chunk_ops=ops)
-
-
-def _ray_cumsum(f: np.ndarray, mesh: RadialMesh, rule: str) -> np.ndarray:
-    """Running quadrature of f dt along every ray at steps 1..S, shape (..., P, S)."""
-    try:
-        op = mesh.chunk_ops[rule]
-    except KeyError:
-        raise ValidationError(f"unknown quadrature rule {rule!r}") from None
-    C, width, b = op.shape
-    windows = f[..., mesh.chunk_nodes].reshape(-1, C, width)
-    # one stacked product over all chunks; rows are the rays of every leading index
-    Y = np.matmul(windows.swapaxes(0, 1), op)                  # (C, rows, b)
-    Y[1:] += np.cumsum(Y[:-1, :, -1:], axis=0)                # carry the chunk totals
-    return Y.swapaxes(0, 1).reshape(f.shape[:-1] + (C * b,))[..., :mesh.step_count]
-
-
-def cumulative_path_integral(f: np.ndarray, mesh: RadialMesh, rule: str = "cubic") -> np.ndarray:
-    """Cumulative integral of f dz from the center along every ray.
-
-    ``f`` has shape (P, S+1); the result matches it, with zeros at s = 0.
-    ``rule`` is "cubic" (default, 4-point local cubic) or "trapezoid".
-    """
-    f = np.asarray(f)
-    out = np.zeros(np.broadcast_shapes(f.shape, mesh.nodes.shape), dtype=complex)
-    out[..., 1:] = _ray_cumsum(f, mesh, rule)
-    return out * mesh.span[:, None]
+                      boundary_weights=bw, chunk_ops=_chunk_operators(t))
 
 
 # --------------------------------------------------------------------------
@@ -312,30 +293,116 @@ def characteristic_coefficients(pair: GeneratingPair, mesh: RadialMesh, h: float
 # pair integral and mesh derivatives
 # --------------------------------------------------------------------------
 
+def _check_finite(state: np.ndarray, degree: int, first_ray: int):
+    """Raise on the first non-finite entry of a (steps, 2, seeds, rays) state, by ray then step."""
+    bad = ~np.isfinite(state)
+    if bad.any():
+        r, s = np.argwhere(bad.any(axis=(1, 2)).T)[0]
+        raise NumericalError(f"non-finite formal power value at degree {degree}, "
+                             f"ray {first_ray + r}, step {s}")
+
+
+def _step_coefficients(pk: np.ndarray, pj: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """Integrand coefficients (S+1, 2, 2, P) of a chain step from pair p_k to pair p_j.
+
+    With W = pk A + i B / pk and span = sr + i si, the two real integrands of
+    the pair-j integral are A pk sr/pj - B si/(pk pj) and A pk pj si + B pj sr/pk;
+    ``pk`` and ``pj`` are (P, S+1).
+    """
+    pk, pj = pk.T, pj.T
+    sr, si = span.real, span.imag
+    return np.moveaxis([[pk * sr / pj, -si / (pk * pj)], [pk * pj * si, pj * sr / pk]], 2, 0)
+
+
+class _Chains:
+    """The formal-power chains of several seeds, run together on one mesh.
+
+    The state holds the real running integrals (A, B) of every chain, steps
+    first, as a (L, 2, seeds, P) array: W = p A + i B / p for the pair p
+    of the current degree (L - 1 >= S steps pad the last quadrature chunk).
+    Each degree forms both integrands of every chain from the state and
+    integrates them in one product, which writes straight into the state.
+    ``ps`` holds the p field (P, S+1) of each pair of the sequence's period;
+    ``first_ray`` is the index of the mesh's first ray in a larger mesh it
+    was sliced from, by which error messages report rays.
+    """
+
+    def __init__(self, ps: list, mesh: RadialMesh, seeds, rule: str = "cubic",
+                 first_ray: int = 0):
+        try:
+            lo, self.op = mesh.chunk_ops[rule]   # chunk c: window rows -> b prefix sums
+        except KeyError:
+            raise ValidationError(f"unknown quadrature rule {rule!r}") from None
+        C, b, width = self.op.shape
+        self.ps, self.mesh, self.seeds, self.first_ray = ps, mesh, seeds, first_ray
+        S = mesh.step_count
+        self.state = np.empty((1 + C * b, 2, len(seeds), mesh.ray_count))
+        # chunk c reads the integrand buffer from step c b + lo on, at the fixed
+        # stride b, so the windows are views of the buffer rather than a
+        # gathered copy; zero rows pad steps 0..S at both ends
+        buffer = np.zeros(((C - 1) * b + width, self.state[0].size))
+        self.integrands = buffer[-lo:S + 1 - lo].reshape((S + 1,) + self.state.shape[1:])
+        self.windows = sliding_window_view(buffer, width, axis=0)[::b].transpose(0, 2, 1)
+        self.coefficients = {}
+
+    def powers(self, N: int):
+        """Yield (d, A, B) at each pair-0 degree d <= N, A and B (S+1, seeds, P).
+
+        Z^(d)(seed) = p A + i B / p with the pair-0 p, steps first; A and B
+        are views of the state, which the next step overwrites.
+        """
+        k, S = len(self.ps), self.mesh.step_count
+        for start in range(min(k, N + 1)):
+            # the chain seeded at pair index `start` delivers the pair-0 powers of
+            # degrees d with (start - d) % k == 0, the last of them N - (N - start) % k
+            self.state[:] = 0.0
+            self.add_degree_zero(start % k, self.seeds)
+            if start % k == 0:
+                yield 0, self.state[:S + 1, 0], self.state[:S + 1, 1]
+            for d in range(1, N - (N - start) % k + 1):
+                pair = ((start - d + 1) % k, (start - d) % k)
+                self.step(pair, d)
+                _check_finite(self.state[:S + 1], d, self.first_ray)
+                if pair[1] == 0:
+                    yield d, self.state[:S + 1, 0], self.state[:S + 1, 1]
+
+    def add_degree_zero(self, j: int, seeds):
+        """Add to each chain the degree-0 power lambda p + i mu / p of its seed a with
+        the pair p of index j: lambda = Re a / p(z0), mu = p(z0) Im a."""
+        p0 = self.ps[j][0, 0]
+        self.state += np.array([[complex(a).real / p0 for a in seeds],
+                                [complex(a).imag * p0 for a in seeds]])[:, :, None]
+
+    def step(self, pair: tuple, d: int):
+        """Advance every chain to degree d: d times the integral, with the pair of
+        index ``pair[1]``, of the state, whose power carries pair index ``pair[0]``."""
+        if pair not in self.coefficients:
+            self.coefficients[pair] = _step_coefficients(self.ps[pair[0]], self.ps[pair[1]],
+                                                         self.mesh.span)
+        np.einsum("scir,sinr->scnr", self.coefficients[pair],
+                  self.state[:len(self.integrands)], out=self.integrands)
+        Y = self.state[1:].reshape(self.op.shape[:2] + (-1,))    # (C, b, columns)
+        np.matmul(d * self.op, self.windows, out=Y)
+        Y[1:] += np.cumsum(Y[:-1, -1:], axis=0)                   # carry the chunk totals
+        self.state[0] = 0.0
+
+
 def fg_integral(W: np.ndarray, pair: GeneratingPair, mesh: RadialMesh,
                 rule: str = "cubic") -> np.ndarray:
     """Pair integral of W from the center along every ray, for the pair (p, i/p).
 
     Returns p Re(int G* W dz) + (i/p) Re(int F* W dz) cumulatively at every
     node; the value at s = 0 is 0. With p = 1 this is the ordinary complex
-    contour integral. Both integrands are real (see the module docstring),
-    so the two running integrals take one real pass of the chunked ray
-    quadrature.
+    contour integral. It is one step of a one-seed chain from the pair to
+    itself: W = p A + i B / p is loaded as A = Re W / p, B = p Im W.
     """
     p = pair.p
-    Wdz = W * mesh.span[:, None]                 # (u sr - v si) + i (u si + v sr)
-    # both integrands in one stack: with two rows or more per chunk, numpy's
-    # matmul always takes the gemm path (one row goes through gemv, which
-    # rounds differently), so a ray's result does not depend on its ray slice
-    f = np.empty((2,) + Wdz.shape)
-    np.divide(Wdz.real, p, out=f[0])
-    np.multiply(Wdz.imag, p, out=f[1])
-    A, B = _ray_cumsum(f, mesh, rule)
-    out = np.empty(Wdz.shape, dtype=complex)
-    out[..., 0] = 0.0
-    np.multiply(p[..., 1:], A, out=out.real[..., 1:])
-    np.divide(B, p[..., 1:], out=out.imag[..., 1:])
-    return out
+    S = mesh.step_count
+    chains = _Chains([p], mesh, (1.0,), rule)
+    chains.state[:S + 1, 0, 0] = (np.real(W) / p).T
+    chains.state[:S + 1, 1, 0] = (p * np.imag(W)).T
+    chains.step((0, 0), 1)
+    return p * chains.state[:S + 1, 0, 0].T + 1j * (chains.state[:S + 1, 1, 0].T / p)
 
 
 def _gradient_operator(mesh: RadialMesh):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -42,8 +42,6 @@ class ExactCase:
     field: ConductivityField
     u: Callable             # u(x, y), vectorized, dtype-preserving
     sigma: Callable         # sigma(x, y), vectorized, dtype-preserving (no domain checks)
-    params: dict = dc_field(default_factory=dict)
-    notes: str = ""
 
     def boundary_data(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -86,8 +84,7 @@ def sinusoidal_case(omega: float) -> ExactCase:
 
     return ExactCase(name="sinusoidal",
                      field=AnalyticSeparable(sigma1, sigma2, bounds=(1.0, 9.0)),
-                     u=u, sigma=lambda x, y: sigma1(x) * sigma2(y),
-                     params={"omega": omega})
+                     u=u, sigma=lambda x, y: sigma1(x) * sigma2(y))
 
 
 def lorentzian_case(beta: float) -> ExactCase:
@@ -112,8 +109,7 @@ def lorentzian_case(beta: float) -> ExactCase:
     lo = 1.0 / (((1.0 + abs(beta)) ** 2 + 0.1) * 1.1)
     return ExactCase(name=f"lorentzian(beta={beta:g})",
                      field=AnalyticSeparable(sigma1, sigma2, bounds=(lo, 100.0)),
-                     u=u, sigma=lambda x, y: sigma1(x) * sigma2(y),
-                     params={"beta": beta})
+                     u=u, sigma=lambda x, y: sigma1(x) * sigma2(y))
 
 
 def constant_case() -> ExactCase:

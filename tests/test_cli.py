@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -46,6 +47,13 @@ def test_config_validation_errors():
         config_from_dict({"N": 5})  # no conductivity / boundary data
 
 
+def scene_with(**shape):
+    """A one-shape scene conductivity: a disk unless ``shape`` says otherwise."""
+    return {"variant": "scene", "background": 10.0,
+            "shapes": [{"kind": "disk", "cx": 0.0, "cy": 0.0, "r2": 0.2, "value": 100.0,
+                        **shape}]}
+
+
 @pytest.mark.parametrize("bad", [{"N": 2.5}, {"P": "35"}, {"N": True}, {"S": 60.0},
                                  {"fd_h": 0}, {"rim_grading": -1.0},
                                  {"drop_tol": float("nan")}, {"drop_tol": -1},
@@ -57,7 +65,20 @@ def test_config_validation_errors():
                                  {"thresholds": {"divergence": True}},
                                  {"thresholds": {"frobnicate": 1.0}},
                                  {"thresholds": [1e-3]}, {"rule": "simpson"},
-                                 {"rule": None}, {"fit_quadrature": "bogus"}],
+                                 {"rule": None}, {"fit_quadrature": "bogus"},
+                                 {"conductivity": "disk"}, {"boundary_data": [0.0]},
+                                 {"conductivity": scene_with(cx="abc")},
+                                 {"conductivity": scene_with(cx=float("nan"))},
+                                 {"conductivity": scene_with(r2=-1)},
+                                 {"conductivity": scene_with(kind="annulus", r2_inner=0.1,
+                                                             r2_outer=0.1)},
+                                 {"conductivity": scene_with(kind="polygon", vertices=[
+                                     [0.0, 0.0], [0.5, 0.0, 1.0], [0.0, 0.5]])},
+                                 {"conductivity": {"variant": "constant", "value": "x"}},
+                                 {"conductivity": {"variant": "sinusoidal", "omega": "x"}},
+                                 {"boundary_data": {"case": "sinusoidal", "omega": "x"}},
+                                 {"boundary_data": {"expression": "shifted-cubic",
+                                                    "beta": "x"}}],
                          ids=lambda bad: "-".join(f"{k}={v!r}" for k, v in bad.items()))
 def test_bad_numeric_config_exits_2(tmp_path, capsys, bad):
     cfg_path = tmp_path / "cfg.json"
@@ -351,6 +372,14 @@ def test_importing_the_cli_loads_no_scipy():
     code = "import sys, fpeit.cli; sys.exit('scipy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_every_exported_name_resolves():
+    # the package loads its names lazily through _EXPORTS; a stale entry fails only on use
+    import fpeit
+    for name in fpeit.__all__:
+        module = importlib.import_module(f"fpeit.{fpeit._MODULES[name]}")
+        assert getattr(fpeit, name) is getattr(module, name), name
 
 
 def test_negative_threads_rejected(tmp_path, capsys):

@@ -20,8 +20,9 @@ from fpeit.formal_powers import (
     rim_traces,
     write_powers_csv,
 )
-from fpeit.pseudoanalytic import GeneratingPair, build_sequence, fg_integral, radial_mesh
+from fpeit.pseudoanalytic import GeneratingPair, build_sequence, radial_mesh
 from fpeit.verification import sinusoidal_case
+from test_pseudoanalytic import reference_fg_integral
 
 
 def degree_zero(pair, a0):
@@ -126,7 +127,8 @@ def test_chains_stop_at_their_last_kept_degree(monkeypatch):
 
 
 def reference_formal_power_fields(seq, mesh, N, seed, rule="cubic"):
-    """The complex chain the stacked real chains replaced: one pair integral per degree."""
+    """The complex chain the stacked real chains replaced: one complex-kernel pair integral
+    per degree."""
     k = seq.period
     out = np.empty((N + 1,) + mesh.nodes.shape, dtype=complex)
     for start in range(min(k, N + 1)):
@@ -134,7 +136,7 @@ def reference_formal_power_fields(seq, mesh, N, seed, rule="cubic"):
         if start % k == 0:
             out[0] = W
         for d in range(1, N - (N - start) % k + 1):
-            W = d * fg_integral(W, seq.pair_for(start - d), mesh, rule=rule)
+            W = d * reference_fg_integral(W, seq.pair_for(start - d), mesh, rule)
             if (start - d) % k == 0:
                 out[d] = W
     return out

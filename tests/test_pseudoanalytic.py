@@ -22,7 +22,6 @@ from fpeit.pseudoanalytic import (
     _fd_xy,
     build_sequence,
     characteristic_coefficients,
-    cumulative_path_integral,
     dz_field,
     dzbar_field,
     fg_integral,
@@ -356,24 +355,10 @@ def test_fg_integral_matches_complex_kernel_on_a_ray_slice():
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), (rule, name)
 
 
-def test_fg_integral_of_a_ray_does_not_depend_on_its_slice():
-    # rim_traces relies on it to match the full-mesh table bit for bit
-    mesh = radial_mesh(40, 60)
-    pair = GeneratingPair(p_fields(mesh)["smooth"])
-    rng = np.random.default_rng(2)
-    W = rng.normal(size=mesh.nodes.shape) + 1j * rng.normal(size=mesh.nodes.shape)
-    full = fg_integral(W, pair, mesh)
-    for rays in (slice(3, 4), slice(5, 7), slice(0, 33)):
-        part = replace(mesh, theta=mesh.theta[rays], nodes=mesh.nodes[rays],
-                       span=mesh.span[rays], boundary_weights=mesh.boundary_weights[rays])
-        got = fg_integral(W[rays], GeneratingPair(pair.p[rays]), part)
-        np.testing.assert_array_equal(got, full[rays])
-
-
 def test_cumulative_rules_reject_unknown():
     mesh = radial_mesh(6, 50)
     with pytest.raises(ValidationError):
-        cumulative_path_integral(np.ones(mesh.nodes.shape, complex), mesh, rule="simpson")
+        fg_integral(np.ones(mesh.nodes.shape, complex), unit_pair(mesh), mesh, rule="simpson")
 
 
 # --- derivative, Vekua residual ---------------------------------------------------
