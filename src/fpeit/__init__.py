@@ -22,7 +22,7 @@ _EXPORTS = {
     "pseudoanalytic": (
         "GeneratingPair", "GeneratingSequence", "RadialMesh", "build_sequence",
         "characteristic_coefficients", "fg_integral", "radial_mesh",
-        "successor_residual", "successor_residual_mesh", "vekua_residual",
+        "successor_residual", "successor_residual_mesh",
     ),
     "formal_powers": (
         "FormalPowerTable", "build_table", "formal_power_fields",

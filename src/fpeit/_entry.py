@@ -8,6 +8,7 @@ lazily for the same reason. ``python -m fpeit`` runs this shim too.
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 
@@ -16,19 +17,17 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
 
 
 def _peek_threads(argv):
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            nxt = argv[i + 1]
-            try:
-                return int(nxt)
-            except ValueError:
-                return None
-        if arg.startswith("--threads="):
-            try:
-                return int(arg.split("=", 1)[1])
-            except ValueError:
-                return None
-    return None
+    """The integer ``--threads`` of argv, abbreviations included, as ``fpeit.cli`` parses it.
+
+    None when the flag is absent or its value is not an integer; ``fpeit.cli``
+    parses argv again and reports a bad value.
+    """
+    parser = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    parser.add_argument("--threads", type=int)
+    try:
+        return parser.parse_known_args(argv)[0].threads
+    except argparse.ArgumentError:
+        return None
 
 
 def _apply_threads(k: int) -> None:

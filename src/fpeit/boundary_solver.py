@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,7 +104,6 @@ class FitResult:
     fitted: np.ndarray         # (P,) fitted trace at the fit nodes
     error: float               # Lebesgue-norm residual on Q dense points
     error_fit_nodes: float     # discrete residual at the fit nodes
-    config: dict = dc_field(default_factory=dict)
 
 
 def fit_coefficients(basis: OrthonormalBasis, data: np.ndarray):
@@ -150,7 +149,7 @@ def reconstruct_interior(res: SolveResult) -> np.ndarray:
     the fitted trace up to rounding.
     """
     return fitted_field(res.sequence, res.mesh, len(res.fit.seeds) - 1, res.fit.seeds,
-                        rule=res.fit.config["rule"])
+                        rule=res.rule)
 
 
 # --------------------------------------------------------------------------
@@ -166,6 +165,7 @@ class SolveResult:
     theta_dense: np.ndarray
     data_dense: np.ndarray
     fit_dense: np.ndarray
+    rule: str                # ray quadrature rule of the powers
     timings: dict
 
 
@@ -173,8 +173,7 @@ def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 
                     S: int = 400, Q: int = 1000, dense_error: bool = True,
                     rule: str = "cubic", rim_grading: float = 1.0,
                     corner_angles=(), drop_tol: float = 1e-10,
-                    fit_quadrature: str = "nodes",
-                    config_echo: dict | None = None) -> SolveResult:
+                    fit_quadrature: str = "nodes") -> SolveResult:
     """Run the full pipeline: mesh, sequence, powers, orthonormal fit, error.
 
     ``data_fn`` maps boundary angles to imposed Dirichlet values. The
@@ -246,13 +245,8 @@ def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 
     timings["error"] = time.monotonic() - t3
     timings["total"] = time.monotonic() - t0
 
-    echo = dict(config_echo or {})
-    echo.update({"N": N, "P": P, "S": S, "Q": Q, "dense_error": dense_error,
-                 "rule": rule, "rim_grading": rim_grading,
-                 "corner_angles": [float(a) for a in corner_angles],
-                 "drop_tol": drop_tol, "fit_quadrature": fit_quadrature})
     fit_res = FitResult(labels=basis.labels, coefficients=b, seeds=seeds,
-                        fitted=fitted, error=E, error_fit_nodes=e_fit, config=echo)
+                        fitted=fitted, error=E, error_fit_nodes=e_fit)
     return SolveResult(fit=fit_res, mesh=mesh, sequence=seq, basis=basis,
                        theta_dense=theta_q, data_dense=data_q, fit_dense=fit_q,
-                       timings=timings)
+                       rule=rule, timings=timings)

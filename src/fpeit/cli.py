@@ -69,8 +69,7 @@ def run_solve(config: RunConfig, out_dir) -> int:
                           Q=config.Q, dense_error=config.dense_error,
                           rule=config.rule, rim_grading=config.rim_grading,
                           corner_angles=corners, drop_tol=config.drop_tol,
-                          fit_quadrature=config.fit_quadrature,
-                          config_echo={"preset": config.preset})
+                          fit_quadrature=config.fit_quadrature)
     fit = res.fit
     if config.interior:
         u = reconstruct_interior(res)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -453,6 +454,30 @@ def radial_rings_field() -> LimitCase:
 
 # --- gridded CSV ingestion ---------------------------------------------------
 
+def read_float_csv(path, header: Sequence[str], what: str) -> np.ndarray:
+    """Float rows of the CSV file ``path`` under ``header``, as an (n, len(header)) array.
+
+    The header is matched ignoring case and surrounding spaces, and ``what``
+    names the file in error messages, all of them ValidationErrors. ``path``
+    must be a str or os.PathLike: ``open`` also takes an integer as a file
+    descriptor, and 0 would read stdin.
+    """
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValidationError(f"{what} CSV path must be a file name, got {path!r}")
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            names = next(reader)
+            rows = [[float(v) for v in row] for row in reader]
+    except (OSError, StopIteration, ValueError) as exc:
+        raise ValidationError(f"cannot read {what} CSV {path!r}: {exc}") from exc
+    if [h.strip().lower() for h in names] != list(header):
+        raise ValidationError(f"{what} CSV must have header {','.join(header)}, got {names!r}")
+    if any(len(row) != len(header) for row in rows):
+        raise ValidationError(f"{what} CSV {path!r} has a row without {len(header)} cells")
+    return np.asarray(rows, dtype=float).reshape(-1, len(header))
+
+
 def load_conductivity_csv(path) -> LimitCase:
     """Load a rectilinear (x, y, sigma) grid from CSV and wrap it as a LimitCase.
 
@@ -460,16 +485,7 @@ def load_conductivity_csv(path) -> LimitCase:
     rectilinear grid. Evaluation is bilinear inside the grid hull and clamps
     to the nearest hull point outside it (but inside the disk).
     """
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            rows = [(float(a), float(b), float(c)) for a, b, c in reader]
-    except (OSError, StopIteration, ValueError) as exc:
-        raise ValidationError(f"cannot read conductivity CSV {path!r}: {exc}") from exc
-    if [h.strip().lower() for h in header] != ["x", "y", "sigma"]:
-        raise ValidationError(f"conductivity CSV must have header x,y,sigma, got {header!r}")
-    data = np.asarray(rows, dtype=float)
+    data = read_float_csv(path, ("x", "y", "sigma"), "conductivity")
     if data.size == 0:
         raise ValidationError("conductivity CSV is empty")
     if not np.all(np.isfinite(data[:, :2])):

@@ -64,7 +64,6 @@ class FormalPowerTable:
     """Formal powers for seeds 1 and i at every mesh node, degrees 0..N."""
 
     N: int
-    z0: complex
     mesh: RadialMesh
     Z1: np.ndarray  # (N+1, P, S+1) complex, seed 1
     Zi: np.ndarray  # (N+1, P, S+1) complex, seed i
@@ -104,7 +103,7 @@ def build_table(seq: GeneratingSequence, mesh: RadialMesh, N: int,
                 rule: str = "cubic") -> FormalPowerTable:
     """Build the full table for seeds 1 and i, both seeds' chains in one pass."""
     Z1, Zi = _power_tables(seq, mesh, N, (1.0, 1j), rule)
-    return FormalPowerTable(N=N, z0=mesh.z0, mesh=mesh, Z1=Z1, Zi=Zi)
+    return FormalPowerTable(N=N, mesh=mesh, Z1=Z1, Zi=Zi)
 
 
 def ray_workers(environ=os.environ) -> int:

@@ -23,6 +23,7 @@ from .conductivity import (
     constant_field,
     load_conductivity_csv,
     radial_rings_field,
+    read_float_csv,
     scene_from_dict,
 )
 from .errors import ValidationError
@@ -234,19 +235,15 @@ def build_field(config: RunConfig) -> ConductivityField:
                                    interpolant=spec.get("interpolant", "linear"))
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed piecewise conductivity spec: {exc!r}") from exc
-    if variant == "piecewise-of":
-        base = config_from_dict({"conductivity": spec.get("source", {}),
-                                 "boundary_data": {"case": "constant"}})
-        src = build_field(base)
+    if variant in ("piecewise-of", "limit-of"):
+        src = build_field(config_from_dict({"conductivity": spec.get("source", {}),
+                                            "boundary_data": {"case": "constant"}}))
+        if variant == "limit-of":
+            return LimitCase(src.evaluate, bounds=src.bounds)
         return sample_piecewise(src.evaluate, M=_parameter(spec, "M", 16, numbers.Integral),
                                 q=_parameter(spec, "q", 16, numbers.Integral),
                                 K=_parameter(spec, "K", 2.0),
                                 interpolant=spec.get("interpolant", "linear"))
-    if variant == "limit-of":
-        base = config_from_dict({"conductivity": spec.get("source", {}),
-                                 "boundary_data": {"case": "constant"}})
-        src = build_field(base)
-        return LimitCase(src.evaluate, bounds=src.bounds)
     raise ValidationError(f"unknown conductivity variant {variant!r}")
 
 
@@ -283,21 +280,9 @@ def build_boundary_data(config: RunConfig):
 
 
 def _boundary_from_csv(path):
-    import csv as _csv
-
-    try:
-        with open(path, newline="") as fh:
-            reader = _csv.reader(fh)
-            header = next(reader)
-            rows = [(float(a), float(b)) for a, b in reader]
-    except (OSError, StopIteration, ValueError) as exc:
-        raise ValidationError(f"cannot read boundary data CSV {path!r}: {exc}") from exc
-    if [h.strip().lower() for h in header] != ["theta", "u"]:
-        raise ValidationError(f"boundary CSV must have header theta,u, got {header!r}")
-    if len(rows) < 2:
+    th, vals = read_float_csv(path, ("theta", "u"), "boundary").T
+    if len(th) < 2:
         raise ValidationError("boundary CSV needs at least two samples")
-    th = np.array([r[0] for r in rows])
-    vals = np.array([r[1] for r in rows])
     if not (np.isfinite(th).all() and np.isfinite(vals).all()):
         raise ValidationError(f"boundary CSV {path!r} holds a non-finite theta or u")
     if np.any(np.diff(np.sort(np.mod(th, 2 * math.pi))) == 0):

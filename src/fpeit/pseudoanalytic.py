@@ -462,21 +462,6 @@ def _gradient_operator(mesh: RadialMesh):
     return gradient
 
 
-def mesh_gradient(W: np.ndarray, mesh: RadialMesh):
-    """d/dx and d/dy of a mesh field (see ``_gradient_operator``); NaN at the center column."""
-    return _gradient_operator(mesh)(np.asarray(W))
-
-
-def dz_field(W: np.ndarray, mesh: RadialMesh) -> np.ndarray:
-    Wx, Wy = mesh_gradient(W, mesh)
-    return Wx - 1j * Wy
-
-
-def dzbar_field(W: np.ndarray, mesh: RadialMesh) -> np.ndarray:
-    Wx, Wy = mesh_gradient(W, mesh)
-    return Wx + 1j * Wy
-
-
 def _vekua_operator(p: np.ndarray, mesh: RadialMesh):
     """W -> |dzbar(W) - b conj(W)| per node; b = dzbar(p)/p and the mesh derivatives built once."""
     gradient = _gradient_operator(mesh)
@@ -490,11 +475,6 @@ def _vekua_operator(p: np.ndarray, mesh: RadialMesh):
     return lambda W: np.abs(dzbar(W) - b * np.conj(W))
 
 
-def vekua_residual(W: np.ndarray, p: np.ndarray, mesh: RadialMesh) -> np.ndarray:
-    """|dzbar(W) - (dzbar(p)/p) conj(W)| per node (NaN at the center column)."""
-    return _vekua_operator(p, mesh)(W)
-
-
 # --------------------------------------------------------------------------
 # generating sequences
 # --------------------------------------------------------------------------
@@ -503,8 +483,11 @@ def vekua_residual(W: np.ndarray, p: np.ndarray, mesh: RadialMesh) -> np.ndarray
 class GeneratingSequence:
     """Periodic chain of generating pairs; pair_for(m) = pairs[m % period]."""
 
-    period: int
     pairs: tuple
+
+    @property
+    def period(self) -> int:
+        return len(self.pairs)
 
     def pair_for(self, m: int) -> GeneratingPair:
         return self.pairs[m % self.period]
@@ -538,15 +521,15 @@ def build_sequence(field: ConductivityField, mesh: RadialMesh) -> GeneratingSequ
         even = GeneratingPair(p2 / p1, p_even)
         odd = GeneratingPair(p1 * p2, p_odd)
         if np.array_equal(even.p, odd.p):
-            return GeneratingSequence(period=1, pairs=(even,))
-        return GeneratingSequence(period=2, pairs=(even, odd))
+            return GeneratingSequence((even,))
+        return GeneratingSequence((even, odd))
 
     p = np.sqrt(field.evaluate(x, y))
 
     def p_fn(a, b):
         return np.sqrt(field.evaluate(a, b))
 
-    return GeneratingSequence(period=1, pairs=(GeneratingPair(p, p_fn),))
+    return GeneratingSequence((GeneratingPair(p, p_fn),))
 
 
 def _successor_gaps(seq: GeneratingSequence, coefficients):

@@ -167,7 +167,7 @@ def test_reconstruct_interior_harmonic():
 def reference_reconstruct_interior(res):
     """The table route reconstruct_interior replaced: the fit's raw coefficients
     combining the real parts of every formal power of the solve's table."""
-    table = build_table(res.sequence, res.mesh, len(res.fit.seeds) - 1, rule=res.fit.config["rule"])
+    table = build_table(res.sequence, res.mesh, len(res.fit.seeds) - 1, rule=res.rule)
     c = res.basis.transform.T @ res.fit.coefficients
     re_fields = np.concatenate([table.Z1.real, table.Zi[1:].real], axis=0)  # (M, P, S+1)
     return np.einsum("m,mps->ps", c, re_fields)
@@ -229,7 +229,7 @@ def test_solution_family_reproduces_exact_interior():
     case = sinusoidal_case(math.pi)
     mesh = radial_mesh(35, 400)
     seq = build_sequence(case.field, mesh)
-    shifted = pa.GeneratingSequence(period=2, pairs=(seq.pairs[1], seq.pairs[0]))
+    shifted = pa.GeneratingSequence((seq.pairs[1], seq.pairs[0]))
     table = build_table(shifted, mesh, 17)
     x, y = mesh.xy()
     sq = np.sqrt(case.field.evaluate(x, y))

@@ -232,6 +232,30 @@ def test_bad_boundary_csv_exits_2(tmp_path, capsys, samples):
     assert "boundary CSV" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec, stdin", [
+    ({"conductivity": {"variant": "csv", "path": 0},
+      "boundary_data": {"expression": "harmonic-quadratic"}},
+     "x,y,sigma\n-1,-1,2\n-1,1,2\n1,-1,2\n1,1,2\n"),
+    ({"conductivity": {"variant": "constant", "value": 1.0}, "boundary_data": {"csv": 0}},
+     "theta,u\n0,1\n2,0\n4,1\n"),
+], ids=["conductivity-path", "boundary-csv"])
+def test_numeric_csv_path_exits_2_without_reading_stdin(tmp_path, spec, stdin):
+    # open() takes an integer as a file descriptor, and 0 is stdin; stdin here
+    # is a valid CSV file, whose offset moves if the run reads it
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**spec, "N": 4, "P": 12, "S": 50, "Q": 100}))
+    stdin_path = tmp_path / "stdin.csv"
+    stdin_path.write_text(stdin)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    with open(stdin_path) as fh:
+        done = subprocess.run([sys.executable, "-m", "fpeit", "solve", "--config", str(cfg_path),
+                               "--out", str(tmp_path / "out")], stdin=fh, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert os.lseek(fh.fileno(), 0, os.SEEK_CUR) == 0
+    assert done.returncode == 2
+    assert "CSV path must be a file name" in done.stderr
+
+
 def test_conductivity_csv_variant(tmp_path):
     path = tmp_path / "sigma.csv"
     with open(path, "w") as fh:
@@ -337,6 +361,17 @@ def test_peek_threads():
     assert _peek_threads(["--threads=2", "solve"]) == 2
     assert _peek_threads(["solve"]) is None
     assert _peek_threads(["--threads", "zebra"]) is None
+    assert _peek_threads(["solve", "--thr", "3"]) == 3  # argparse's abbreviation, as in fpeit.cli
+
+
+def test_abbreviated_threads_flag_sets_every_cap(tmp_path, monkeypatch):
+    for var in _entry._THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)  # restored after the test
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"preset": "constant", "N": 2, "P": 6, "S": 50}))
+    assert _entry.main(["powers", "--config", str(cfg_path), "--thr", "1",
+                        "--out", str(tmp_path)]) == 0
+    assert all(os.environ[var] == "1" for var in _entry._THREAD_VARS)
 
 
 def test_explicit_threads_override_inherited_caps(monkeypatch):

@@ -63,7 +63,7 @@ def test_powers_csv_matches_the_row_writer_on_edge_values(tmp_path):
     shape = (N + 1,) + mesh.nodes.shape
     vals = np.resize(np.array(EDGE_VALUES), 4 * np.prod(shape)).reshape((4,) + shape)
     vals[1] = -np.roll(vals[1], 3)  # pair each value with other values and signs
-    table = FormalPowerTable(N=N, z0=0j, mesh=mesh, Z1=vals[0] + 1j * vals[1],
+    table = FormalPowerTable(N=N, mesh=mesh, Z1=vals[0] + 1j * vals[1],
                              Zi=vals[2] + 1j * vals[3])
     write_powers_csv(table, tmp_path / "block.csv")
     reference_powers_csv(table, tmp_path / "rows.csv")

@@ -20,16 +20,14 @@ from fpeit.pseudoanalytic import (
     _coefficients,
     _cumulative_cubic_weights,
     _fd_xy,
+    _gradient_operator,
+    _vekua_operator,
     build_sequence,
     characteristic_coefficients,
-    dz_field,
-    dzbar_field,
     fg_integral,
-    mesh_gradient,
     radial_mesh,
     successor_residual,
     successor_residual_mesh,
-    vekua_residual,
 )
 from fpeit.verification import lorentzian_case, sinusoidal_case
 
@@ -39,6 +37,12 @@ def unit_pair(mesh):
     return GeneratingPair(ones, lambda x, y: np.ones_like(np.asarray(x, float)))
 
 
+def dz_dzbar(W, mesh):
+    """dz and dzbar of a mesh field by the mesh central differences (NaN at the center column)."""
+    Wx, Wy = _gradient_operator(mesh)(W)
+    return Wx - 1j * Wy, Wx + 1j * Wy
+
+
 def fg_derivative(W, pair, mesh, h=1e-4):
     """Pair derivative dz(W) - A W - B conj(W) of a mesh field, with A = 0 for (p, i/p).
 
@@ -46,7 +50,7 @@ def fg_derivative(W, pair, mesh, h=1e-4):
     column), B by ``characteristic_coefficients`` with spacing ``h``.
     """
     B, _ = characteristic_coefficients(pair, mesh, h=h)
-    return dz_field(W, mesh) - B * np.conj(W)
+    return dz_dzbar(W, mesh)[0] - B * np.conj(W)
 
 
 # --- mesh ---------------------------------------------------------------------
@@ -182,8 +186,7 @@ def general_coefficients(pair, mesh, h=1e-4):
 def general_coefficients_mesh(pair, mesh):
     """The general-pair formulas with the mesh central differences of F and G."""
     F, G = pair.F, 1j / pair.p
-    return general_pair_coefficients(F, G, dz_field(F, mesh), dzbar_field(F, mesh),
-                                     dz_field(G, mesh), dzbar_field(G, mesh))
+    return general_pair_coefficients(F, G, *dz_dzbar(F, mesh), *dz_dzbar(G, mesh))
 
 
 def general_successor_gaps(seq, coefficients):
@@ -208,9 +211,9 @@ def test_coefficients_match_general_pair_oracle(name):
     separable = name in ("sinusoidal", "lorentzian-0.5")
     assert seq.period == (2 if separable else 1)
     interior = np.s_[:, 1:-1]
+    gradient = _gradient_operator(mesh)
     for pair in seq.pairs:
-        on_mesh = _coefficients(pair.p, mesh_gradient(pair.p, mesh),
-                                mesh_gradient(1.0 / pair.p, mesh))
+        on_mesh = _coefficients(pair.p, gradient(pair.p), gradient(1.0 / pair.p))
         oracle = general_coefficients(pair, mesh)
         for new, (_, B, _, b) in ((characteristic_coefficients(pair, mesh), oracle),
                                   (on_mesh, general_coefficients_mesh(pair, mesh))):
@@ -373,7 +376,7 @@ def test_fg_derivative_annihilates_pair():
         interior = np.s_[:, 1:-1]
         dF = fg_derivative(pair.F, pair, mesh)
         dG = fg_derivative(1j / pair.p, pair, mesh)
-        scale = np.abs(dz_field(pair.F, mesh)[interior]).max() + 1.0
+        scale = np.abs(dz_dzbar(pair.F, mesh)[0][interior]).max() + 1.0
         residuals.append(max(np.nanmax(np.abs(dF[interior])),
                              np.nanmax(np.abs(dG[interior]))) / scale)
     assert residuals[1] < 2e-2  # truncation-level zero
@@ -400,15 +403,15 @@ def test_vekua_residual_examples():
     z = mesh.nodes
     p = np.ones(z.shape)
     interior = np.s_[:, 1:-1]
-    res = vekua_residual(np.conj(z), p, mesh)
+    res = _vekua_operator(p, mesh)(np.conj(z))
     np.testing.assert_allclose(res[interior], 2.0, atol=1e-9)  # dzbar(zbar) = 2
-    res = vekua_residual(z, p, mesh)
+    res = _vekua_operator(p, mesh)(z)
     assert np.nanmax(res[interior]) < 1e-9
     # W = p is always an exact solution of its own Vekua equation
     case = lorentzian_case(0.5)
     x, y = mesh.xy()
     pfield = np.sqrt(case.sigma(x, y))
-    res = vekua_residual(pfield.astype(complex), pfield, mesh)
+    res = _vekua_operator(pfield, mesh)(pfield.astype(complex))
     assert np.nanmax(res[interior]) < 1e-12
 
 
@@ -479,7 +482,7 @@ def test_mesh_gradient_matches_reference_bitwise(name):
               mesh.nodes ** 3 + np.conj(mesh.nodes),
               rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)]
     for W in fields:
-        for got, ref in zip(mesh_gradient(W, mesh), reference_mesh_gradient(W, mesh)):
+        for got, ref in zip(_gradient_operator(mesh)(W), reference_mesh_gradient(W, mesh)):
             assert got.dtype == ref.dtype
             assert np.array_equal(got, ref, equal_nan=True)
 
@@ -642,7 +645,7 @@ def test_chain_overflow_reports_location():
     mesh = radial_mesh(6, 60)
     x, y = mesh.xy()
     pair = GeneratingPair(np.exp(355.0 * (x / 2 + math.sqrt(3) * y / 2)))
-    seq = GeneratingSequence(period=1, pairs=(pair,))
+    seq = GeneratingSequence((pair,))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match="degree"):
             formal_power_fields(seq, mesh, 5, 1.0)
