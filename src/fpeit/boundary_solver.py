@@ -3,7 +3,8 @@
 The raw boundary system and its canonical trace order and labels come from
 ``fpeit.formal_powers.rim_traces``; the fitted function, on the rim for the
 dense error and in the interior for ``interior.csv``, from
-``fpeit.formal_powers.fitted_field``. The solve builds no formal-power table.
+``fpeit.formal_powers.fitted_field``, which build the sequence one ray block
+at a time, so the solve builds no formal-power table and no Q-ray node array.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .conductivity import ConductivityField
 from .errors import ValidationError
 from .formal_powers import BoundarySystem, fitted_field, rim_traces
-from .pseudoanalytic import GeneratingSequence, RadialMesh, build_sequence, radial_mesh
+from .pseudoanalytic import RadialMesh, radial_mesh
 
 log = logging.getLogger(__name__)
 
@@ -148,7 +149,7 @@ def reconstruct_interior(res: SolveResult) -> np.ndarray:
     one Horner chain from the fit's seeds; its boundary column reproduces
     the fitted trace up to rounding.
     """
-    return fitted_field(res.sequence, res.mesh, len(res.fit.seeds) - 1, res.fit.seeds,
+    return fitted_field(res.field, res.mesh, len(res.fit.seeds) - 1, res.fit.seeds,
                         rule=res.rule)
 
 
@@ -160,7 +161,7 @@ def reconstruct_interior(res: SolveResult) -> np.ndarray:
 class SolveResult:
     fit: FitResult
     mesh: RadialMesh
-    sequence: GeneratingSequence
+    field: ConductivityField
     basis: OrthonormalBasis
     theta_dense: np.ndarray
     data_dense: np.ndarray
@@ -205,8 +206,7 @@ def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 
     timings: dict[str, float] = {}
     t0 = time.monotonic()
     mesh = radial_mesh(P, S, rim_grading=rim_grading, corner_angles=corner_angles)
-    seq = build_sequence(field, mesh)
-    system = rim_traces(seq, mesh, N, rule=rule)
+    system = rim_traces(field, mesh, N, rule=rule)
     timings["build"] = time.monotonic() - t0
 
     t1 = time.monotonic()
@@ -220,9 +220,8 @@ def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 
     t2 = time.monotonic()
     if dense_error:
         mesh_q = radial_mesh(Q, S, rim_grading=rim_grading)
-        seq_q = build_sequence(field, mesh_q)
     if fit_quadrature == "dense":
-        raw_q = rim_traces(seq_q, mesh_q, N, rule=rule).raw
+        raw_q = rim_traces(field, mesh_q, N, rule=rule).raw
         b, *_ = np.linalg.lstsq((basis.transform @ raw_q).T, data_q, rcond=None)
         fitted = b @ basis.functions
     c = basis.transform.T @ b
@@ -233,7 +232,7 @@ def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 
     if fit_quadrature == "dense":
         fit_q = c @ raw_q
     elif dense_error:
-        fit_q = fitted_field(seq_q, mesh_q, N, seeds, rule=rule)[:, -1].copy()
+        fit_q = fitted_field(field, mesh_q, N, seeds, rule=rule, rim=True)
     else:
         fit_q = upsample_periodic_linear(mesh.theta, fitted, theta_q)
     if dense_error:
@@ -247,6 +246,6 @@ def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 
 
     fit_res = FitResult(labels=basis.labels, coefficients=b, seeds=seeds,
                         fitted=fitted, error=E, error_fit_nodes=e_fit)
-    return SolveResult(fit=fit_res, mesh=mesh, sequence=seq, basis=basis,
+    return SolveResult(fit=fit_res, mesh=mesh, field=field, basis=basis,
                        theta_dense=theta_q, data_dense=data_q, fit_dense=fit_q,
                        rule=rule, timings=timings)

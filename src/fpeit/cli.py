@@ -43,6 +43,9 @@ from .verification import divergence_residual, interior_points
 
 log = logging.getLogger("fpeit")
 
+# E below this fraction of the data norm is rounding noise, and so is its quadrature gap
+GAP_FLOOR = 1e-12
+
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
 
@@ -81,8 +84,9 @@ def run_solve(config: RunConfig, out_dir) -> int:
               [rows(*map(cells, (th, th, d, f, d - f)))])
     if config.interior:
         write_csv(out / "interior.csv", ["x", "y", "u"], [rows(*map(cells, (*res.mesh.xy(), u)))])
+    seq = build_sequence(field, res.mesh)
     if config.dump_powers:
-        table = build_table(res.sequence, res.mesh, config.N, rule=config.rule)
+        table = build_table(seq, res.mesh, config.N, rule=config.rule)
         write_powers_csv(table, out / "powers.csv")
     timings = {**res.timings, "write": time.monotonic() - t_write}
 
@@ -90,7 +94,8 @@ def run_solve(config: RunConfig, out_dir) -> int:
     U = res.basis.functions
     defect = float(np.max(np.abs((U * res.basis.weights) @ U.T - np.eye(len(U)))))
     E_half = error_norm(res.data_dense[::2], res.fit_dense[::2])  # even dense points: the Q/2 grid
-    gap = abs(fit.error - E_half) / fit.error if config.Q % 2 == 0 and fit.error > 0 else None
+    floor = GAP_FLOOR * error_norm(res.data_dense, np.zeros_like(res.data_dense))
+    gap = abs(fit.error - E_half) / fit.error if config.Q % 2 == 0 and fit.error > floor else None
     top = np.isin(fit.labels, [config.N - 1, config.N, 2 * config.N, 2 * config.N + 1])
     diagnostics = {
         "orthonormality_defect": defect,
@@ -112,7 +117,7 @@ def run_solve(config: RunConfig, out_dir) -> int:
         "dropped": [[int(lab), float(r)] for lab, r in res.basis.dropped],
         "coefficient_count": int(len(fit.coefficients)),
         "significant_coefficients": significant,
-        "sequence_period": res.sequence.period,
+        "sequence_period": seq.period,
         "diagnostics": diagnostics,
         "timings": {k: round(v, 4) for k, v in timings.items()},
         "wall_time": round(time.monotonic() - t0, 4),
@@ -172,12 +177,9 @@ def run_verify(config: RunConfig, out_dir) -> int:
     meshes = [radial_mesh(P1, S1, rim_grading=config.rim_grading),
               radial_mesh(2 * P1, 2 * S1, rim_grading=config.rim_grading)]
     seqs = [build_sequence(field, m) for m in meshes]
-    vekua = []
-    succ_mesh = []
-    for m, sq in zip(meshes, seqs):
-        table = build_table(sq, m, Nv, rule=config.rule)
-        vekua.append(pseudoanalyticity_check(table, sq.pair_for(0).p))
-        succ_mesh.append(successor_residual_mesh(sq, m))
+    vekua = [pseudoanalyticity_check(build_table(sq, m, Nv, rule=config.rule), sq.pair_for(0).p)
+             for m, sq in zip(meshes, seqs)]
+    succ_mesh = [successor_residual_mesh(sq, m) for m, sq in zip(meshes, seqs)]
 
     limit_gap = seqs[0].period == 1 and not isinstance(field, AnalyticSeparable)
     vq_pass, vq_ratio = ratio_ok(vekua[0], vekua[1], thresholds["vekua_ratio"])

@@ -219,10 +219,7 @@ def build_piecewise(samples, slab_edges, K: float = 2.0, interpolant: str = "lin
             raise ValidationError(f"slab {j}: sample ordinates must be strictly increasing in y")
         if np.any(vals <= 0) or not np.all(np.isfinite(vals)):
             raise ValidationError(f"slab {j}: conductivity samples must be positive and finite")
-        if interpolant == "linear":
-            f = _clamped_linear(ys, vals)
-        else:
-            f = _clamped_spline(ys, vals)
+        f = (_clamped_linear if interpolant == "linear" else _clamped_spline)(ys, vals)
         slabs.append(Slab(x_lo=float(edges[j]), x_hi=float(edges[j + 1]),
                           chi=float(chi), K=float(K), f=f))
     return PiecewiseSeparable(slabs)
@@ -367,16 +364,12 @@ class GeometricScene(ConductivityField):
     def _eval(self, x, y):
         out = np.full(x.shape, self.background, dtype=float)
         for sh in self.shapes:
-            m = sh.contains(x, y)
-            out[m] = sh.value
+            out[sh.contains(x, y)] = sh.value
         return out
 
     def corner_angles(self):
-        angles = []
-        for sh in self.shapes:
-            if isinstance(sh, PolygonShape):
-                angles.extend(sh.corner_angles())
-        return tuple(angles)
+        return tuple(angle for sh in self.shapes if isinstance(sh, PolygonShape)
+                     for angle in sh.corner_angles())
 
 
 def _shape_from_dict(s: dict):

@@ -31,9 +31,10 @@ combination sum_n Z^(n)(a_n) is one chain of N steps, run by Horner's rule
 from degree N down (``fitted_field``).
 
 The solver reads only the boundary traces (``rim_traces``) and the fitted
-combination (``fitted_field``), neither of which holds more than one ray
-block of chains. The full table (``build_table``) is built only for the
-``powers.csv`` dump and the ``verify`` residuals, which read every entry.
+combination (``fitted_field``). Both take the conductivity field: a worker
+builds each ray block's nodes, sequence and chains (``_over_ray_blocks``).
+The full table (``build_table``) is built only for the ``powers.csv`` dump
+and the ``verify`` residuals, which read every entry.
 """
 
 from __future__ import annotations
@@ -45,9 +46,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .conductivity import ConductivityField
 from .errors import ValidationError
 from .pseudoanalytic import (GeneratingSequence, RadialMesh, _Chains, _check_finite,
-                             _vekua_operator)
+                             _vekua_operator, build_sequence)
 
 log = logging.getLogger(__name__)
 
@@ -84,7 +86,7 @@ def _power_tables(seq: GeneratingSequence, mesh: RadialMesh, N: int, seeds,
     """Pair-0 formal powers of every seed, as a (seeds, N+1, P, S+1) array."""
     if N < 0:
         raise ValidationError(f"N must be non-negative, got {N}")
-    out = np.empty((len(seeds), N + 1) + mesh.nodes.shape, dtype=complex)
+    out = np.empty((len(seeds), N + 1, mesh.ray_count, mesh.step_count + 1), dtype=complex)
     p = seq.pair_for(0).p
     for d, A, B in _Chains([pair.p for pair in seq.pairs], mesh, seeds, rule).powers(N):
         # write along the table's contiguous steps axis; read the steps-first state transposed
@@ -121,24 +123,27 @@ def ray_workers(environ=os.environ) -> int:
     return min(cap, cores) if cap > 0 else cores
 
 
-def _over_ray_blocks(seq: GeneratingSequence, mesh: RadialMesh, seeds, rule: str, run):
+def _over_ray_blocks(field: ConductivityField, mesh: RadialMesh, seeds, rule: str, run):
     """Call ``run(rays, chains)`` on ``ray_workers()`` threads for every block of RAY_BLOCK
-    rays, ``chains`` holding the chains of ``seeds`` on the block's slice of the mesh."""
-    ps = [pair.p for pair in seq.pairs]
+    rays, ``chains`` holding the chains of ``seeds`` on the block's slice of the mesh.
 
+    The worker builds the block's nodes, its sequence on them and its chains, so no
+    array spans every ray. ``run`` reads the period and p fields from ``chains``: a
+    block may find period 1 where the whole mesh has period 2.
+    """
     def block(first: int):
         rays = slice(first, first + RAY_BLOCK)
-        block_mesh = replace(mesh, theta=mesh.theta[rays], nodes=mesh.nodes[rays],
-                             span=mesh.span[rays],
+        block_mesh = replace(mesh, theta=mesh.theta[rays], span=mesh.span[rays],
                              boundary_weights=mesh.boundary_weights[rays])
-        run(rays, _Chains([p[rays] for p in ps], block_mesh, seeds, rule, first))
+        seq = build_sequence(field, block_mesh)
+        run(rays, _Chains([pair.p for pair in seq.pairs], block_mesh, seeds, rule, first))
 
     with ThreadPoolExecutor(max_workers=ray_workers()) as pool:
         # reading every result re-raises the error of a failed block here
         list(pool.map(block, range(0, mesh.ray_count, RAY_BLOCK)))
 
 
-def rim_traces(seq: GeneratingSequence, mesh: RadialMesh, N: int,
+def rim_traces(field: ConductivityField, mesh: RadialMesh, N: int,
                rule: str = "cubic") -> BoundarySystem:
     """Real parts of the boundary traces of the formal powers on ``mesh``, without the table.
 
@@ -151,41 +156,43 @@ def rim_traces(seq: GeneratingSequence, mesh: RadialMesh, N: int,
     of both seeds, keeps only Re Z = p A at the rim and is dropped.
     """
     raw = np.empty((2 * N + 1, mesh.ray_count))
-    p_rim = seq.pair_for(0).p[:, -1]
 
     def traces(rays: slice, chains: _Chains):
+        p_rim = chains.ps[0][:, -1]
         for d, A, _ in chains.powers(N):
-            raw[d, rays] = A[-1, 0] * p_rim[rays]
+            raw[d, rays] = A[-1, 0] * p_rim
             if d:
-                raw[N + d, rays] = A[-1, 1] * p_rim[rays]
+                raw[N + d, rays] = A[-1, 1] * p_rim
 
-    _over_ray_blocks(seq, mesh, (1.0, 1j), rule, traces)
+    _over_ray_blocks(field, mesh, (1.0, 1j), rule, traces)
     return BoundarySystem(theta=mesh.theta.copy(), weights=mesh.boundary_weights.copy(),
                           raw=raw, labels=np.r_[0:N + 1, N + 2:2 * N + 2])
 
 
-def fitted_field(seq: GeneratingSequence, mesh: RadialMesh, N: int, a,
-                 rule: str = "cubic") -> np.ndarray:
-    """Re sum_n Z^(n)(a_n) at every node of ``mesh``, a (P, S+1) array, without the table.
+def fitted_field(field: ConductivityField, mesh: RadialMesh, N: int, a, rule: str = "cubic",
+                 rim: bool = False) -> np.ndarray:
+    """Re sum_n Z^(n)(a_n) at every node of ``mesh``, a (P, S+1) array, without the table;
+    with ``rim``, only its rim column, a (P,) array.
 
     The sum is one chain, run by Horner's rule on a single-seed state per
     ray block: Z0(a_0) + 1 I_0(Z0(a_1) + 2 I_1(Z0(a_2) + ...)), with Z0(a)
     at pair index j the degree-0 power of seed a and I_j the pair-j integral.
     """
-    out = np.empty(mesh.nodes.shape)
-    k, S = seq.period, mesh.step_count
-    p = seq.pair_for(0).p
+    S = mesh.step_count
+    steps = S if rim else slice(0, S + 1)
+    out = np.empty(mesh.ray_count if rim else (mesh.ray_count, S + 1))
 
     def horner(rays: slice, chains: _Chains):
+        k = len(chains.ps)
         chains.state[:] = 0.0
         chains.add_degree_zero(N % k, (a[N],))
         for d in range(N, 0, -1):
             chains.step((d % k, (d - 1) % k), d)
             _check_finite(chains.state[:S + 1], d, chains.first_ray)
             chains.add_degree_zero((d - 1) % k, (a[d - 1],))
-        out[rays] = chains.state[:S + 1, 0, 0].T * p[rays]
+        out[rays] = chains.state[steps, 0, 0].T * chains.ps[0][:, steps]
 
-    _over_ray_blocks(seq, mesh, (a[N],), rule, horner)
+    _over_ray_blocks(field, mesh, (a[N],), rule, horner)
     return out
 
 
@@ -230,7 +237,7 @@ def write_csv(path, header, blocks):
 
 def write_powers_csv(table: FormalPowerTable, path):
     """Dump the table as degree,seed,ray,step,x,y,ReZ,ImZ rows, one block per (seed, degree)."""
-    ray, step = np.indices(table.mesh.nodes.shape)
+    ray, step = np.indices(table.Z1.shape[1:])
     node = [",".join(c) for c in zip(*map(cells, (ray, step, *table.mesh.xy())))]
     write_csv(path, ["degree", "seed", "ray", "step", "x", "y", "ReZ", "ImZ"],
               (rows([f"{n},{seed}"] * len(node), node, cells(Z[n].real), cells(Z[n].imag))

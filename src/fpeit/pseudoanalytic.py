@@ -61,14 +61,14 @@ class RadialMesh:
     Nodes are z[r, s] = z0 + t[s] * span[r], where span[r] points from the
     center to the rim along ray r, so every ray starts at z0 (s = 0) and ends
     on the unit circle (s = S). The parameter grid t is shared by all rays,
-    which lets the cumulative quadrature operators be computed once.
+    which lets the cumulative quadrature operators be computed once. No
+    per-node array is stored: ``nodes`` forms them from z0, t and span.
     """
 
     theta: np.ndarray            # (P,) ray angles, sorted, in [0, 2pi)
     t: np.ndarray                # (S+1,) path parameters, 0 = t0 < ... < tS = 1
     z0: complex
-    nodes: np.ndarray            # (P, S+1) complex
-    span: np.ndarray             # (P,) complex, nodes[:, -1] - z0
+    span: np.ndarray             # (P,) complex, rim node minus z0
     boundary_weights: np.ndarray  # (P,) closed-curve trapezoid arc weights
     chunk_ops: dict              # rule -> (lo, (C, b, width) window-to-prefix-sum maps)
 
@@ -80,8 +80,14 @@ class RadialMesh:
     def step_count(self):
         return len(self.t) - 1
 
+    @property
+    def nodes(self) -> np.ndarray:
+        """(P, S+1) complex nodes z0 + t[s] span[r], computed on each access."""
+        return self.z0 + self.t[None, :] * self.span[:, None]
+
     def xy(self):
-        return self.nodes.real, self.nodes.imag
+        nodes = self.nodes
+        return nodes.real, nodes.imag
 
 
 def _cumulative_cubic_weights(t: np.ndarray):
@@ -182,16 +188,15 @@ def radial_mesh(P: int, S: int, z0: complex = 0j, rim_grading: float = 1.0,
     d = z0.real * np.cos(theta) + z0.imag * np.sin(theta)
     R = -d + np.sqrt(d * d + 1.0 - abs(z0) ** 2)
     span = R * e
-    nodes = z0 + t[None, :] * span[:, None]
 
-    rim_err = np.max(np.abs(np.abs(nodes[:, -1]) - 1.0))
+    rim_err = np.max(np.abs(np.abs(z0 + span) - 1.0))  # the rim nodes, t = 1
     if rim_err > RIM_TOL:
         raise NumericalError(f"rim nodes off the unit circle by {rim_err:.2e}")
 
     gaps = np.diff(np.concatenate([theta, [theta[0] + 2 * math.pi]]))
     bw = 0.5 * (gaps + np.roll(gaps, 1))
-    return RadialMesh(theta=theta, t=t, z0=z0, nodes=nodes, span=span,
-                      boundary_weights=bw, chunk_ops=_chunk_operators(t))
+    return RadialMesh(theta=theta, t=t, z0=z0, span=span, boundary_weights=bw,
+                      chunk_ops=_chunk_operators(t))
 
 
 # --------------------------------------------------------------------------
@@ -302,18 +307,6 @@ def _check_finite(state: np.ndarray, degree: int, first_ray: int):
                              f"ray {first_ray + r}, step {s}")
 
 
-def _step_coefficients(pk: np.ndarray, pj: np.ndarray, span: np.ndarray) -> np.ndarray:
-    """Integrand coefficients (S+1, 2, 2, P) of a chain step from pair p_k to pair p_j.
-
-    With W = pk A + i B / pk and span = sr + i si, the two real integrands of
-    the pair-j integral are A pk sr/pj - B si/(pk pj) and A pk pj si + B pj sr/pk;
-    ``pk`` and ``pj`` are (P, S+1).
-    """
-    pk, pj = pk.T, pj.T
-    sr, si = span.real, span.imag
-    return np.moveaxis([[pk * sr / pj, -si / (pk * pj)], [pk * pj * si, pj * sr / pk]], 2, 0)
-
-
 class _Chains:
     """The formal-power chains of several seeds, run together on one mesh.
 
@@ -343,6 +336,8 @@ class _Chains:
         buffer = np.zeros(((C - 1) * b + width, self.state[0].size))
         self.integrands = buffer[-lo:S + 1 - lo].reshape((S + 1,) + self.state.shape[1:])
         self.windows = sliding_window_view(buffer, width, axis=0)[::b].transpose(0, 2, 1)
+        # integrand coefficients per step; a step from pair j goes to pair j - 1 (mod k)
+        self.coefficient_store = np.empty((len(ps), 2, 2, S + 1, mesh.ray_count))
         self.coefficients = {}
 
     def powers(self, N: int):
@@ -377,8 +372,16 @@ class _Chains:
         """Advance every chain to degree d: d times the integral, with the pair of
         index ``pair[1]``, of the state, whose power carries pair index ``pair[0]``."""
         if pair not in self.coefficients:
-            self.coefficients[pair] = _step_coefficients(self.ps[pair[0]], self.ps[pair[1]],
-                                                         self.mesh.span)
+            # with W = pk A + i B / pk and span = sr + i si, the two real integrands of the
+            # pair-j integral are A pk sr/pj - B si/(pk pj) and A pk pj si + B pj sr/pk,
+            # written in place: temporaries would fault in fresh pages in every block
+            (pk, pj), c = (self.ps[k].T for k in pair), self.coefficient_store[pair[0]]
+            sr, si = self.mesh.span.real, self.mesh.span.imag
+            np.divide(np.multiply(pk, sr, out=c[0, 0]), pj, out=c[0, 0])
+            np.divide(-si, np.multiply(pk, pj, out=c[1, 0]), out=c[0, 1])
+            np.multiply(c[1, 0], si, out=c[1, 0])
+            np.divide(np.multiply(pj, sr, out=c[1, 1]), pk, out=c[1, 1])
+            self.coefficients[pair] = np.moveaxis(c, 2, 0)  # (S+1, 2, 2, P)
         np.einsum("scir,sinr->scnr", self.coefficients[pair],
                   self.state[:len(self.integrands)], out=self.integrands)
         Y = self.state[1:].reshape(self.op.shape[:2] + (-1,))    # (C, b, columns)
@@ -422,9 +425,7 @@ def _gradient_operator(mesh: RadialMesh):
     h1, h2 = t[-1] - t[-2], t[-1] - t[-3]
     hp = (np.roll(th, -1) - th) % (2 * math.pi)
     hp[hp == 0] = 2 * math.pi
-    hm = (th - np.roll(th, 1)) % (2 * math.pi)
-    hm[hm == 0] = 2 * math.pi
-    hp, hm = hp[:, None], hm[:, None]
+    hp, hm = hp[:, None], np.roll(hp, 1)[:, None]  # the gaps after and before each ray
     q_next, q_prev, q_mid, q_den = hm ** 2, hp ** 2, hp ** 2 - hm ** 2, hp * hm * (hp + hm)
 
     def d_dt(f):
@@ -437,20 +438,18 @@ def _gradient_operator(mesh: RadialMesh):
                       + f[:, -3] * h1 / (h2 * (h2 - h1)))
         return out
 
-    def d_dtheta(f):
-        out = np.empty(f.shape, dtype=f.dtype)
-        out[1:-1] = (q_next[1:-1] * f[2:] - q_prev[1:-1] * f[:-2]
-                     + q_mid[1:-1] * f[1:-1]) / q_den[1:-1]
-        # the first and last rays wrap around
-        out[0] = (q_next[0] * f[1] - q_prev[0] * f[-1] + q_mid[0] * f[0]) / q_den[0]
-        out[-1] = (q_next[-1] * f[0] - q_prev[-1] * f[-2] + q_mid[-1] * f[-1]) / q_den[-1]
-        return out
+    def d_dtheta(f):  # the first and last rays wrap around
+        return (q_next * np.roll(f, -1, axis=0) - q_prev * np.roll(f, 1, axis=0)
+                + q_mid * f) / q_den
 
-    xt, yt = d_dt(mesh.nodes.real), d_dt(mesh.nodes.imag)
-    xq, yq = d_dtheta(mesh.nodes.real), d_dtheta(mesh.nodes.imag)
-    det = xt * yq - xq * yt
+    x, y = mesh.xy()
+    xt, yt, xq, yq = d_dt(x), d_dt(y), d_dtheta(x), d_dtheta(y)
+    real = xt, yt, xq, yq, xt * yq - xq * yt
+    # complex copies, or numpy would cast the real arrays for every complex field
+    jacobian = {False: real, True: tuple(a.astype(complex) for a in real)}
 
     def gradient(W):
+        xt, yt, xq, yq, det = jacobian[np.iscomplexobj(W)]
         Wt, Wq = d_dt(W), d_dtheta(W)
         with np.errstate(divide="ignore", invalid="ignore"):
             Wx = (Wt * yq - Wq * yt) / det

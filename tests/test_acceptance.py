@@ -217,7 +217,7 @@ def test_criterion_7_structural_identities(sinusoidal_runs):
 
     # Re Z^(0)(i)|_Gamma identically zero
     res = sinusoidal_runs[17][0]
-    tr = build_table(res.sequence, res.mesh, 0).Zi[0, :, -1].real
+    tr = build_table(build_sequence(res.field, res.mesh), res.mesh, 0).Zi[0, :, -1].real
     zi0_ok = np.abs(tr).max() <= 1e-14
 
     ok = succ_ok and rt_ok and lin_ok and orth_ok and mono_ok and zi0_ok

@@ -14,9 +14,16 @@ from fpeit.boundary_solver import (
     solve_dirichlet,
     upsample_periodic_linear,
 )
-from fpeit.conductivity import constant_field, radial_rings_field, scene_from_dict
+from fpeit.conductivity import (
+    AnalyticSeparable,
+    ConductivityField,
+    PiecewiseSeparable,
+    constant_field,
+    radial_rings_field,
+    scene_from_dict,
+)
 from fpeit.errors import ValidationError
-from fpeit.formal_powers import build_table, rim_traces
+from fpeit.formal_powers import RAY_BLOCK, build_table, rim_traces
 from fpeit.presets import build_boundary_data, build_field, config_from_dict, corner_angles_for
 from fpeit.pseudoanalytic import build_sequence, radial_mesh
 from fpeit.verification import shifted_cubic, sinusoidal_case
@@ -80,7 +87,7 @@ def test_orthonormalize_zero_function_dropped_not_fatal():
 
 def sigma_one_basis(N=17, P=35, S=120):
     mesh = radial_mesh(P, S)
-    return rim_traces(build_sequence(constant_field(1.0), mesh), mesh, N)
+    return rim_traces(constant_field(1.0), mesh, N)
 
 
 def test_sigma_one_all_functions_kept_and_rank_oracle():
@@ -167,7 +174,8 @@ def test_reconstruct_interior_harmonic():
 def reference_reconstruct_interior(res):
     """The table route reconstruct_interior replaced: the fit's raw coefficients
     combining the real parts of every formal power of the solve's table."""
-    table = build_table(res.sequence, res.mesh, len(res.fit.seeds) - 1, rule=res.rule)
+    table = build_table(build_sequence(res.field, res.mesh), res.mesh, len(res.fit.seeds) - 1,
+                        rule=res.rule)
     c = res.basis.transform.T @ res.fit.coefficients
     re_fields = np.concatenate([table.Z1.real, table.Zi[1:].real], axis=0)  # (M, P, S+1)
     return np.einsum("m,mps->ps", c, re_fields)
@@ -274,3 +282,40 @@ def test_solve_warns_when_underresolved(caplog):
     with caplog.at_level("WARNING"):
         solve_dirichlet(field, lambda th: np.cos(th), N=8, P=9, S=60, Q=100)
     assert any("saturate" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize("field", [SINUSOIDAL.field, scene_from_dict(DISK_SCENE)],
+                         ids=["sinusoidal", "disk-scene"])
+@pytest.mark.parametrize("fit_quadrature", ["nodes", "dense"])
+def test_solve_samples_sigma_one_ray_block_at_a_time(monkeypatch, field, fit_quadrature):
+    # the Q-ray mesh is never materialized: no call sees more nodes than one block's
+    sizes = []
+    for cls, name in ((ConductivityField, "evaluate"), (AnalyticSeparable, "separable_parts"),
+                      (PiecewiseSeparable, "separable_parts")):
+        def counted(self, x, y, real=getattr(cls, name)):
+            sizes.append(np.size(x))
+            return real(self, x, y)
+        monkeypatch.setattr(cls, name, counted)
+    S = 60
+    solve_dirichlet(field, np.cos, N=8, P=35, S=S, Q=1000, fit_quadrature=fit_quadrature)
+    assert sizes and max(sizes) <= RAY_BLOCK * (S + 1)
+
+
+WORKER_CASES = {  # period 2, period 1, the dense fit
+    "sinusoidal": dict(field=SINUSOIDAL.field, data_fn=SINUSOIDAL.boundary_data),
+    "disk-scene": dict(field=scene_from_dict(DISK_SCENE), data_fn=np.cos),
+    "dense-fit": dict(field=SINUSOIDAL.field, data_fn=SINUSOIDAL.boundary_data,
+                      fit_quadrature="dense"),
+}
+
+
+@pytest.mark.parametrize("case", WORKER_CASES)
+def test_solve_does_not_depend_on_the_worker_count(monkeypatch, case):
+    runs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("OMP_NUM_THREADS", workers)
+        runs.append(solve_dirichlet(**WORKER_CASES[case], N=8, P=35, S=60, Q=150))
+    one, two = runs
+    np.testing.assert_array_equal(one.fit_dense, two.fit_dense)
+    np.testing.assert_array_equal(one.fit.coefficients, two.fit.coefficients)
+    assert one.fit.error == two.fit.error

@@ -105,8 +105,8 @@ def test_solve_writes_artifacts(tmp_path):
     assert cfg.drop_tol < report["diagnostics"]["min_kept_norm_ratio"] <= 1.0
     # the rings data has no content past degree 3
     assert 0.0 <= report["diagnostics"]["coefficient_tail"] <= 1e-10
-    # E sits at the rounding floor, so E_Q and E_(Q/2) agree only to its order
-    assert 0.0 <= report["diagnostics"]["error_quadrature_gap"] <= 1e3
+    # E sits at the rounding floor, below GAP_FLOOR of the data norm, so its gap is noise
+    assert report["diagnostics"]["error_quadrature_gap"] is None
     assert "dense_traces" in report["timings"]
     assert 0 <= report["timings"]["write"] <= report["wall_time"]
     header = (tmp_path / "boundary_fit.csv").read_text().splitlines()[0]
@@ -147,6 +147,16 @@ def test_error_quadrature_gap_of_a_smooth_and_a_jump_case(tmp_path):
             "diagnostics"]["error_quadrature_gap"]
     assert 0.0 <= gaps["sinusoidal"] <= 1e-8
     assert 1e-4 <= gaps["disk-0.6"] <= 1.0
+
+
+def test_error_quadrature_gap_is_null_at_the_rounding_floor(tmp_path):
+    # constant and radial-rings fit their data exactly, E ~ 1e-16 of the data norm
+    for name, at_floor in (("constant", True), ("radial-rings", True),
+                           ("sinusoidal", False), ("disk-0.6", False)):
+        assert run_solve(config_from_dict({"preset": name}), tmp_path / name) == 0
+        gap = json.loads((tmp_path / name / "report.json").read_text())[
+            "diagnostics"]["error_quadrature_gap"]
+        assert (gap is None) is at_floor, (name, gap)
 
 
 def test_solve_deterministic(tmp_path):

@@ -7,7 +7,8 @@ import pytest
 
 from fpeit import formal_powers
 from fpeit.cli import main
-from fpeit.conductivity import constant_field, radial_rings_field, scene_from_dict
+from fpeit.conductivity import (ConductivityField, constant_field, radial_rings_field,
+                                scene_from_dict)
 from fpeit.errors import NumericalError
 from fpeit.formal_powers import (
     RAY_BLOCK,
@@ -265,18 +266,18 @@ def test_rim_traces_match_boundary_system(field, period, rays, grading):
     mesh = radial_mesh(rays, 60, rim_grading=grading)
     seq = build_sequence(field, mesh)
     assert seq.period == period
-    system, ref = rim_traces(seq, mesh, 6), reference_boundary_system(build_table(seq, mesh, 6))
+    system, ref = rim_traces(field, mesh, 6), reference_boundary_system(build_table(seq, mesh, 6))
     for name in ("theta", "weights", "raw", "labels"):
         np.testing.assert_array_equal(getattr(system, name), getattr(ref, name))
 
 
 def test_rim_traces_do_not_depend_on_the_worker_count(monkeypatch):
     mesh = radial_mesh(150, 60)
-    seq = build_sequence(sinusoidal_case(math.pi).field, mesh)
+    field = sinusoidal_case(math.pi).field
     traces = []
     for workers in ("1", "2"):
         monkeypatch.setenv("OMP_NUM_THREADS", workers)
-        traces.append(rim_traces(seq, mesh, 6).raw)
+        traces.append(rim_traces(field, mesh, 6).raw)
     np.testing.assert_array_equal(traces[0], traces[1])
 
 
@@ -298,8 +299,8 @@ def test_rim_fit_matches_combined_traces(field, period, rule, grading, N):
     seq = build_sequence(field, mesh)
     assert seq.period == period
     c, a = random_fit_coefficients(N)
-    ref = c @ rim_traces(seq, mesh, N, rule=rule).raw
-    fit = fitted_field(seq, mesh, N, a, rule=rule)
+    ref = c @ rim_traces(field, mesh, N, rule=rule).raw
+    fit = fitted_field(field, mesh, N, a, rule=rule)
     assert np.abs(fit[:, -1] - ref).max() <= 1e-13 * np.abs(ref).max()
     # the whole field is the same combination of the table's real parts
     table = build_table(seq, mesh, N, rule=rule)
@@ -309,12 +310,12 @@ def test_rim_fit_matches_combined_traces(field, period, rule, grading, N):
 
 def test_rim_fit_does_not_depend_on_the_worker_count(monkeypatch):
     mesh = radial_mesh(150, 60)
-    seq = build_sequence(sinusoidal_case(math.pi).field, mesh)
+    field = sinusoidal_case(math.pi).field
     _, a = random_fit_coefficients(6)
     fits = []
     for workers in ("1", "2"):
         monkeypatch.setenv("OMP_NUM_THREADS", workers)
-        fits.append(fitted_field(seq, mesh, 6, a))
+        fits.append(fitted_field(field, mesh, 6, a))
     np.testing.assert_array_equal(fits[0], fits[1])
 
 
@@ -343,18 +344,16 @@ def poison_ray(monkeypatch, Q):
 
 def test_rim_traces_report_the_global_ray(monkeypatch):
     mesh = radial_mesh(150, 40)
-    seq = build_sequence(constant_field(1.0), mesh)
     poison_ray(monkeypatch, 150)
     with pytest.raises(NumericalError, match=f"ray {BAD_RAY}, step 3"):
-        rim_traces(seq, mesh, 3)
+        rim_traces(constant_field(1.0), mesh, 3)
 
 
 def test_rim_fit_reports_the_global_ray(monkeypatch):
     mesh = radial_mesh(150, 40)
-    seq = build_sequence(constant_field(1.0), mesh)
     poison_ray(monkeypatch, 150)
     with pytest.raises(NumericalError, match=f"ray {BAD_RAY}, step 3"):
-        fitted_field(seq, mesh, 3, random_fit_coefficients(3)[1])
+        fitted_field(constant_field(1.0), mesh, 3, random_fit_coefficients(3)[1])
 
 
 def test_solve_exits_3_on_a_block_failure(tmp_path, monkeypatch, capsys):
@@ -366,3 +365,28 @@ def test_solve_exits_3_on_a_block_failure(tmp_path, monkeypatch, capsys):
     assert f"ray {BAD_RAY}," in err
     assert "Traceback" not in err
 
+
+
+def test_solve_exits_2_when_a_block_sequence_fails(tmp_path, monkeypatch, capsys):
+    # sigma reads 0 on the rays of the second block of the Q-ray mesh, which are
+    # told from the P rays by their angular pitch, so that block's sequence fails
+    Q = 150
+    lo, hi = 2.0 * math.pi * RAY_BLOCK / Q, 2.0 * math.pi * 2 * RAY_BLOCK / Q
+    real = ConductivityField.evaluate
+
+    def evaluate(self, x, y):
+        out = real(self, x, y)
+        if np.ndim(x) == 2 and len(x) > 1:
+            angle = np.arctan2(y[:, -1], x[:, -1]) % (2.0 * math.pi)
+            if np.isclose(angle[1] - angle[0], 2.0 * math.pi / Q):
+                out[(angle > lo - 1e-9) & (angle < hi - 1e-9)] = 0.0
+        return out
+
+    monkeypatch.setattr(ConductivityField, "evaluate", evaluate)
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"preset": "disk-0.6", "N": 3, "P": 12, "S": 50, "Q": Q}))
+    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid input" in err
+    assert "Traceback" not in err

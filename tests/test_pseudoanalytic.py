@@ -346,7 +346,7 @@ def test_fg_integral_matches_complex_kernel_on_a_ray_slice():
     # a ragged slice of rays, as the ray blocks of the dense rebuild take it
     mesh = radial_mesh(40, 60, rim_grading=2.0)
     rays = slice(11, 34)
-    part = replace(mesh, theta=mesh.theta[rays], nodes=mesh.nodes[rays], span=mesh.span[rays],
+    part = replace(mesh, theta=mesh.theta[rays], span=mesh.span[rays],
                    boundary_weights=mesh.boundary_weights[rays])
     rng = np.random.default_rng(1)
     W = rng.normal(size=part.nodes.shape) + 1j * rng.normal(size=part.nodes.shape)
