@@ -20,8 +20,7 @@ import numpy as np
 from .boundary_solver import error_norm, reconstruct_interior, solve_dirichlet
 from .conductivity import AnalyticSeparable
 from .errors import DomainError, NumericalError, ValidationError
-from .formal_powers import build_table, pseudoanalyticity_check, write_powers_csv
-from .formal_powers import cells, rows, write_csv
+from .formal_powers import build_table, pseudoanalyticity_check, rows, write_csv, write_powers_csv
 from .presets import (
     DEFAULT_THRESHOLDS,
     PRESET_NAMES,
@@ -77,13 +76,12 @@ def run_solve(config: RunConfig, out_dir) -> int:
     if config.interior:
         u = reconstruct_interior(res)
     t_write = time.monotonic()
-    write_csv(out / "coefficients.csv", ["alpha", "b"],
-              [rows(cells(fit.labels), cells(fit.coefficients))])
+    write_csv(out / "coefficients.csv", ["alpha", "b"], [rows(fit.labels, fit.coefficients)])
     th, d, f = res.theta_dense, res.data_dense, res.fit_dense  # arc length l equals theta
     write_csv(out / "boundary_fit.csv", ["theta", "l", "data", "fit", "residual"],
-              [rows(*map(cells, (th, th, d, f, d - f)))])
+              [rows(th, th, d, f, d - f)])
     if config.interior:
-        write_csv(out / "interior.csv", ["x", "y", "u"], [rows(*map(cells, (*res.mesh.xy(), u)))])
+        write_csv(out / "interior.csv", ["x", "y", "u"], [rows(*res.mesh.xy(), u)])
     seq = build_sequence(field, res.mesh)
     if config.dump_powers:
         table = build_table(seq, res.mesh, config.N, rule=config.rule)

@@ -450,18 +450,20 @@ def radial_rings_field() -> LimitCase:
 def read_float_csv(path, header: Sequence[str], what: str) -> np.ndarray:
     """Float rows of the CSV file ``path`` under ``header``, as an (n, len(header)) array.
 
-    The header is matched ignoring case and surrounding spaces, and ``what``
-    names the file in error messages, all of them ValidationErrors. ``path``
-    must be a str or os.PathLike: ``open`` also takes an integer as a file
-    descriptor, and 0 would read stdin.
+    The header is matched ignoring case and surrounding spaces, a leading
+    byte-order mark and blank lines are skipped, and ``what`` names the file
+    in error messages, all of them ValidationErrors. ``path`` must be a str
+    or os.PathLike: ``open`` also takes an integer as a file descriptor, and
+    0 would read stdin.
     """
     if not isinstance(path, (str, os.PathLike)):
         raise ValidationError(f"{what} CSV path must be a file name, got {path!r}")
     try:
-        with open(path, newline="") as fh:
+        # utf-8-sig drops the byte-order mark of spreadsheet "CSV UTF-8" exports
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             names = next(reader)
-            rows = [[float(v) for v in row] for row in reader]
+            rows = [[float(v) for v in row] for row in reader if row]  # blank lines are []
     except (OSError, StopIteration, ValueError) as exc:
         raise ValidationError(f"cannot read {what} CSV {path!r}: {exc}") from exc
     if [h.strip().lower() for h in names] != list(header):

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import logging
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -216,31 +217,34 @@ def pseudoanalyticity_check(table: FormalPowerTable, p: np.ndarray,
     return out
 
 
-def cells(values: np.ndarray) -> list[str]:
-    """CSV cells of an array in C order: str for ints, %.17g (exact for float64) for floats."""
-    if values.dtype.kind in "iu":
-        return [str(v) for v in values.ravel().tolist()]
-    return [f"{v:.17g}" for v in values.ravel().tolist()]
-
-
 def rows(*columns) -> str:
-    """CSV lines of equal-length columns of cells, unquoted and CRLF-ended like csv.writer's."""
-    return "".join([",".join(row) + "\r\n" for row in zip(*columns)])
+    """CSV lines of equal-length columns, unquoted and CRLF-ended like csv.writer's, in one
+    %-format call: arrays in C order (ints %d, floats %.17g), lists of cells, str constants."""
+    fields = [c.replace("%", "%%") if isinstance(c, str) else "%s" if isinstance(c, list)
+              else "%d" if c.dtype.kind in "iu" else "%.17g" for c in columns]
+    lists = [c if isinstance(c, list) else c.ravel().tolist()
+             for c in columns if not isinstance(c, str)]
+    args = [None] * (len(lists) * len(lists[0]))
+    for k, cells in enumerate(lists):
+        args[k::len(lists)] = cells  # a column of another length raises here
+    return ((",".join(fields) + "\r\n") * len(lists[0])) % tuple(args)
 
 
 def write_csv(path, header, blocks):
     """Write a CSV artifact: the header line, then each block of ``rows`` text as it comes."""
     with open(path, "w", newline="") as fh:
-        fh.write(rows(*zip(header)))  # one row of one-cell columns
+        fh.write(",".join(header) + "\r\n")
         fh.writelines(blocks)
 
 
 def write_powers_csv(table: FormalPowerTable, path):
     """Dump the table as degree,seed,ray,step,x,y,ReZ,ImZ rows, one block per (seed, degree)."""
+    t0 = time.perf_counter()
     ray, step = np.indices(table.Z1.shape[1:])
-    node = [",".join(c) for c in zip(*map(cells, (ray, step, *table.mesh.xy())))]
+    node = rows(ray, step, *table.mesh.xy()).splitlines()
     write_csv(path, ["degree", "seed", "ray", "step", "x", "y", "ReZ", "ImZ"],
-              (rows([f"{n},{seed}"] * len(node), node, cells(Z[n].real), cells(Z[n].imag))
+              (rows(f"{n},{seed}", node, Z[n].real, Z[n].imag)
                for seed, Z in (("1", table.Z1), ("i", table.Zi)) for n in range(table.N + 1)))
-    log.info("wrote %d rows (%.1f MB) of formal powers to %s", 2 * (table.N + 1) * len(node),
-             os.path.getsize(path) / 1e6, path)
+    seconds, mb = time.perf_counter() - t0, os.path.getsize(path) / 1e6
+    log.info("wrote %d rows (%.1f MB) of formal powers to %s in %.3g s (%.1f MB/s)",
+             2 * (table.N + 1) * len(node), mb, path, seconds, mb / seconds)

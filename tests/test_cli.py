@@ -242,6 +242,26 @@ def test_bad_boundary_csv_exits_2(tmp_path, capsys, samples):
     assert "boundary CSV" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, code, message", [
+    ("\ufefftheta,u\n0,1\n2,0\n4,1\n\n", 0, None),
+    ("theta,u\n0,1\n2\n4,1\n", 2, "has a row without 2 cells"),
+    ("theta,u\n0,1\n2,\n4,1\n", 2, "cannot read boundary CSV"),
+    ("theta,u\n0,1\n,\n4,1\n", 2, "cannot read boundary CSV"),
+], ids=["bom-and-blank-line", "missing-cell", "blank-cell", "blank-cells"])
+def test_boundary_csv_exports(tmp_path, capsys, text, code, message):
+    path = tmp_path / "bc.csv"
+    path.write_text(text, encoding="utf-8")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "conductivity": {"variant": "constant", "value": 1.0},
+        "boundary_data": {"csv": str(path)},
+        "N": 4, "P": 12, "S": 50, "Q": 100,
+    }))
+    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == code
+    if message:
+        assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("spec, stdin", [
     ({"conductivity": {"variant": "csv", "path": 0},
       "boundary_data": {"expression": "harmonic-quadratic"}},

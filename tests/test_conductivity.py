@@ -14,6 +14,7 @@ from fpeit.conductivity import (
     eval_radial_piecewise,
     load_conductivity_csv,
     radial_rings_field,
+    read_float_csv,
     sample_piecewise,
     scene_from_dict,
 )
@@ -284,6 +285,30 @@ def test_conductivity_csv_validation(tmp_path):
         load_conductivity_csv(p)
     with pytest.raises(ValidationError):
         load_conductivity_csv(tmp_path / "missing.csv")
+
+
+GRID_TEXT = "x,y,sigma\r\n-1,-1,2\r\n-1,1,3\r\n1,-1,4\r\n1,1,5\r\n"
+
+
+def test_csv_with_a_byte_order_mark_reads_like_the_plain_file(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with U+FEFF
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(GRID_TEXT, encoding="utf-8")
+    marked.write_text(GRID_TEXT, encoding="utf-8-sig")
+    assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+    want = read_float_csv(plain, ("x", "y", "sigma"), "conductivity")
+    assert np.array_equal(read_float_csv(marked, ("x", "y", "sigma"), "conductivity"), want)
+    assert load_conductivity_csv(marked).evaluate(0.0, 0.0) == pytest.approx(3.5, rel=1e-14)
+
+
+@pytest.mark.parametrize("text", [GRID_TEXT + "\r\n", GRID_TEXT + "\n\n",
+                                  GRID_TEXT.replace("\r\n1,-1", "\r\n\r\n1,-1")],
+                         ids=["trailing", "two-trailing", "inside"])
+def test_csv_blank_lines_are_skipped(tmp_path, text):
+    path = tmp_path / "sigma.csv"
+    path.write_bytes(text.encode())
+    assert np.array_equal(read_float_csv(path, ("x", "y", "sigma"), "conductivity"),
+                          [[-1, -1, 2], [-1, 1, 3], [1, -1, 4], [1, 1, 5]])
 
 
 def test_constant_field():

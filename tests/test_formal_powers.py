@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -19,6 +21,7 @@ from fpeit.formal_powers import (
     pseudoanalyticity_check,
     ray_workers,
     rim_traces,
+    rows,
     write_powers_csv,
 )
 from fpeit.pseudoanalytic import GeneratingPair, build_sequence, radial_mesh
@@ -244,6 +247,38 @@ def test_powers_csv_dump(tmp_path):
         np.testing.assert_array_equal(back[:, col], np.tile(want.ravel(), 2))
     np.testing.assert_array_equal(back[:, 5], Z.real.ravel())
     np.testing.assert_array_equal(back[:, 6], Z.imag.ravel())
+
+
+def test_rows_match_csv_writer_on_mixed_columns():
+    ints = np.array([0, -1, 42, -7, -(2 ** 63), 2 ** 63 - 1])
+    floats = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308])
+    grid = (np.arange(6) / 7).reshape(3, 2).T  # Fortran-ordered memory, read in C order
+    ready = ["a%s", "100%", "%%", "%d", "x", "%"]
+    const = "7,%i%"
+    ref = io.StringIO()
+    csv.writer(ref).writerows(
+        [str(ints[k]), f"{floats[k]:.17g}", f"{grid[k // 3, k % 3]:.17g}", ready[k], "7", "%i%"]
+        for k in range(6))
+    assert rows(ints, floats, grid, ready, const) == ref.getvalue()
+    assert rows(np.array([], dtype=int), np.empty((0, 3)), [], const) == ""
+    with pytest.raises(ValueError):
+        rows(ints, floats[:5])
+
+
+def test_powers_dump_logs_rows_size_seconds_and_rate(tmp_path, caplog):
+    mesh = radial_mesh(4, 30)
+    table = build_table(build_sequence(constant_field(1.0), mesh), mesh, 3)
+    path = tmp_path / "powers.csv"
+    with caplog.at_level("INFO", logger="fpeit.formal_powers"):
+        write_powers_csv(table, path)
+    (record,) = [r for r in caplog.records if "formal powers" in r.getMessage()]
+    count, mb, where, seconds, rate = record.args
+    assert count == 2 * table.Z1.size == len(path.read_text().splitlines()) - 1
+    assert mb == path.stat().st_size / 1e6 and where == path
+    assert seconds > 0 and rate == mb / seconds
+    message = record.getMessage()
+    for number in (f"{count} rows", f"{mb:.1f} MB", f"{seconds:.3g} s", f"{rate:.1f} MB/s"):
+        assert number in message
 
 
 def reference_boundary_system(table):
