@@ -451,10 +451,10 @@ def read_float_csv(path, header: Sequence[str], what: str) -> np.ndarray:
     """Float rows of the CSV file ``path`` under ``header``, as an (n, len(header)) array.
 
     The header is matched ignoring case and surrounding spaces, a leading
-    byte-order mark and blank lines are skipped, and ``what`` names the file
-    in error messages, all of them ValidationErrors. ``path`` must be a str
-    or os.PathLike: ``open`` also takes an integer as a file descriptor, and
-    0 would read stdin.
+    byte-order mark and lines that are empty or all spaces are skipped, and
+    ``what`` names the file in error messages, all of them ValidationErrors.
+    ``path`` must be a str or os.PathLike: ``open`` also takes an integer as
+    a file descriptor, and 0 would read stdin.
     """
     if not isinstance(path, (str, os.PathLike)):
         raise ValidationError(f"{what} CSV path must be a file name, got {path!r}")
@@ -463,7 +463,9 @@ def read_float_csv(path, header: Sequence[str], what: str) -> np.ndarray:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             names = next(reader)
-            rows = [[float(v) for v in row] for row in reader if row]  # blank lines are []
+            # skip blank lines ([]) and lines of spaces (one blank cell); read every other row
+            rows = [[float(v) for v in row] for row in reader
+                    if len(row) > 1 or row and row[0].strip()]
     except (OSError, StopIteration, ValueError) as exc:
         raise ValidationError(f"cannot read {what} CSV {path!r}: {exc}") from exc
     if [h.strip().lower() for h in names] != list(header):

@@ -2,10 +2,10 @@
 
 Every generating pair is (p, i/p), held as its field p. A formal power of
 degree n with seed a is produced by seeding the degree-0 power
-lambda p + i mu / p, with the real constants lambda = Re a / p(z0) and
-mu = p(z0) Im a, at the pair of index n (mod the sequence period) and
-applying the pair integral n times, descending to pair index 0 and
-multiplying by the degree at each step:
+lambda p + i mu / p, with the real constants lambda = Re a / p0 and
+mu = p0 Im a (p0 the value of p at the origin), at the pair of index n
+(mod the sequence period) and applying the pair integral n times,
+descending to pair index 0 and multiplying by the degree at each step:
 
     Z^(0) at pair index n  --int,(n-1 pair)-->  ...  --int,(0 pair)-->  Z^(n).
 
@@ -98,7 +98,7 @@ def _power_tables(seq: GeneratingSequence, mesh: RadialMesh, N: int, seeds,
 
 def formal_power_fields(seq: GeneratingSequence, mesh: RadialMesh, N: int,
                         seed: complex, rule: str = "cubic") -> np.ndarray:
-    """Pair-0 formal powers Z^(0..N)(seed, z; z0) as an (N+1, P, S+1) array."""
+    """Pair-0 formal powers Z^(0..N)(seed, z; 0) about the origin, as an (N+1, P, S+1) array."""
     return _power_tables(seq, mesh, N, (seed,), rule)[0]
 
 
@@ -134,7 +134,7 @@ def _over_ray_blocks(field: ConductivityField, mesh: RadialMesh, seeds, rule: st
     """
     def block(first: int):
         rays = slice(first, first + RAY_BLOCK)
-        block_mesh = replace(mesh, theta=mesh.theta[rays], span=mesh.span[rays],
+        block_mesh = replace(mesh, theta=mesh.theta[rays],
                              boundary_weights=mesh.boundary_weights[rays])
         seq = build_sequence(field, block_mesh)
         run(rays, _Chains([pair.p for pair in seq.pairs], block_mesh, seeds, rule, first))

@@ -56,19 +56,17 @@ CHUNK = 16  # intervals per block of the cumulative ray quadrature
 
 @dataclass(frozen=True)
 class RadialMesh:
-    """Center plus rays-by-steps sampling of the unit disk.
+    """Polar grid of the unit disk about the origin: rays by steps.
 
-    Nodes are z[r, s] = z0 + t[s] * span[r], where span[r] points from the
-    center to the rim along ray r, so every ray starts at z0 (s = 0) and ends
-    on the unit circle (s = S). The parameter grid t is shared by all rays,
-    which lets the cumulative quadrature operators be computed once. No
-    per-node array is stored: ``nodes`` forms them from z0, t and span.
+    Nodes are z[r, s] = t[s] * span[r] with span[r] = e^{i theta[r]}, so every
+    ray starts at the origin (s = 0) and ends on the unit circle at angle
+    theta[r] (s = S). The parameter grid t is shared by all rays, which lets
+    the cumulative quadrature operators be computed once. No per-node array
+    is stored: ``span`` and ``nodes`` are formed from theta and t.
     """
 
     theta: np.ndarray            # (P,) ray angles, sorted, in [0, 2pi)
     t: np.ndarray                # (S+1,) path parameters, 0 = t0 < ... < tS = 1
-    z0: complex
-    span: np.ndarray             # (P,) complex, rim node minus z0
     boundary_weights: np.ndarray  # (P,) closed-curve trapezoid arc weights
     chunk_ops: dict              # rule -> (lo, (C, b, width) window-to-prefix-sum maps)
 
@@ -81,9 +79,16 @@ class RadialMesh:
         return len(self.t) - 1
 
     @property
+    def span(self) -> np.ndarray:
+        """(P,) complex rim nodes e^{i theta}, computed on each access."""
+        return np.exp(1j * self.theta)
+
+    @property
     def nodes(self) -> np.ndarray:
-        """(P, S+1) complex nodes z0 + t[s] span[r], computed on each access."""
-        return self.z0 + self.t[None, :] * self.span[:, None]
+        """(P, S+1) complex nodes t[s] span[r], computed on each access."""
+        # 0j + turns the -0.0 that t = 0 gives on rays with a negative cos or sin
+        # into +0, which the CSV artifacts would print as -0
+        return 0j + self.t[None, :] * self.span[:, None]
 
     def xy(self):
         nodes = self.nodes
@@ -143,34 +148,34 @@ def _chunk_operators(t: np.ndarray):
     return ops
 
 
-def radial_mesh(P: int, S: int, z0: complex = 0j, rim_grading: float = 1.0,
+def radial_mesh(P: int, S: int, *, rim_grading: float = 1.0,
                 corner_angles: Sequence[float] = ()) -> RadialMesh:
-    """Build the radial integration mesh.
+    """Build the radial integration mesh of the unit disk about the origin.
 
     Parameters
     ----------
     P, S:
         Ray count and radial step count.
-    z0:
-        Expansion center, strictly inside the disk (default 0).
     rim_grading:
         1.0 keeps the radial parameters uniform; g > 1 clusters them toward
         the rim via t = 1 - (1 - u)^g, for conductivities varying sharply
         near the boundary.
     corner_angles:
         Boundary angles that must coincide with some ray (one nearest ray is
-        snapped to each); used to force rays across polygon corners.
+        snapped to each); used to force rays across polygon corners. Two
+        distinct angles that pick the same ray are rejected.
     """
     if P < 3 or S < 3:
         raise ValidationError(f"mesh needs P >= 3 rays and S >= 3 steps, got P={P}, S={S}")
-    z0 = complex(z0)
-    if abs(z0) >= 1.0 - 1e-9:
-        raise ValidationError(f"center z0={z0} must lie strictly inside the unit disk")
 
     theta = 2.0 * math.pi * np.arange(P) / P
+    snapped = {}  # ray -> the corner angle it was moved to
     for ang in corner_angles:
         ang = float(ang) % (2.0 * math.pi)
         k = int(np.argmin(np.minimum(np.abs(theta - ang), 2 * math.pi - np.abs(theta - ang))))
+        if snapped.setdefault(k, ang) != ang:
+            raise ValidationError(f"corner angles {snapped[k]!r} and {ang!r} both snap to ray "
+                                  f"{k}; increase P")
         theta[k] = ang
     theta = np.unique(theta)
     if len(theta) != P:
@@ -183,20 +188,9 @@ def radial_mesh(P: int, S: int, z0: complex = 0j, rim_grading: float = 1.0,
     t = u if g == 1.0 else 1.0 - (1.0 - u) ** g
     t[0], t[-1] = 0.0, 1.0
 
-    # distance from z0 to the unit circle along each ray direction
-    e = np.exp(1j * theta)
-    d = z0.real * np.cos(theta) + z0.imag * np.sin(theta)
-    R = -d + np.sqrt(d * d + 1.0 - abs(z0) ** 2)
-    span = R * e
-
-    rim_err = np.max(np.abs(np.abs(z0 + span) - 1.0))  # the rim nodes, t = 1
-    if rim_err > RIM_TOL:
-        raise NumericalError(f"rim nodes off the unit circle by {rim_err:.2e}")
-
     gaps = np.diff(np.concatenate([theta, [theta[0] + 2 * math.pi]]))
     bw = 0.5 * (gaps + np.roll(gaps, 1))
-    return RadialMesh(theta=theta, t=t, z0=z0, span=span, boundary_weights=bw,
-                      chunk_ops=_chunk_operators(t))
+    return RadialMesh(theta=theta, t=t, boundary_weights=bw, chunk_ops=_chunk_operators(t))
 
 
 # --------------------------------------------------------------------------
@@ -363,7 +357,7 @@ class _Chains:
 
     def add_degree_zero(self, j: int, seeds):
         """Add to each chain the degree-0 power lambda p + i mu / p of its seed a with
-        the pair p of index j: lambda = Re a / p(z0), mu = p(z0) Im a."""
+        the pair p of index j: lambda = Re a / p0, mu = p0 Im a, p0 = p at the origin."""
         p0 = self.ps[j][0, 0]
         self.state += np.array([[complex(a).real / p0 for a in seeds],
                                 [complex(a).imag * p0 for a in seeds]])[:, :, None]
@@ -376,7 +370,8 @@ class _Chains:
             # pair-j integral are A pk sr/pj - B si/(pk pj) and A pk pj si + B pj sr/pk,
             # written in place: temporaries would fault in fresh pages in every block
             (pk, pj), c = (self.ps[k].T for k in pair), self.coefficient_store[pair[0]]
-            sr, si = self.mesh.span.real, self.mesh.span.imag
+            span = self.mesh.span
+            sr, si = span.real, span.imag
             np.divide(np.multiply(pk, sr, out=c[0, 0]), pj, out=c[0, 0])
             np.divide(-si, np.multiply(pk, pj, out=c[1, 0]), out=c[0, 1])
             np.multiply(c[1, 0], si, out=c[1, 0])

@@ -130,8 +130,8 @@ def divergence_residual(sigma_fn: Callable, u_fn: Callable, pts, h: float = 1e-4
     """Max of |sigma * lap(u) + grad(sigma) . grad(u)| over interior sample points.
 
     Second-order central differences with spacing ``h``; points closer than
-    2h to the unit circle are skipped with a warning. Returns the maximum
-    absolute residual (0 when every point was skipped). Pass
+    2h to the unit circle are skipped with a warning, and a ValidationError
+    names h when no point remains. Returns the maximum absolute residual. Pass
     ``dtype=np.longdouble`` to push the rounding floor below the h^2
     truncation at small h.
     """
@@ -145,7 +145,8 @@ def divergence_residual(sigma_fn: Callable, u_fn: Callable, pts, h: float = 1e-4
                     int(np.sum(~keep)))
     x, y = x[keep], y[keep]
     if x.size == 0:
-        return 0.0
+        raise ValidationError(f"divergence_residual: every sample point lies within 2h of "
+                              f"the unit circle at h = {h!r}; use a smaller h")
     h = dtype(h)
 
     u0 = u_fn(x, y)

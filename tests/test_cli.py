@@ -191,6 +191,14 @@ def test_verify_constant_passes(tmp_path):
     assert doc["checks"]["divergence"]["passed"] is True
 
 
+def test_verify_exits_2_when_the_divergence_check_keeps_no_point(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"preset": "constant", "fd_h": 0.5}))
+    assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "h = 0.5" in captured.err and "verify passed" not in captured.out
+
+
 def test_verify_threshold_breach_exits_one(tmp_path):
     cfg = config_from_dict({"preset": "constant", "P": 24, "S": 80, "N": 6,
                             "thresholds": {"divergence": 1e-30}})
@@ -247,7 +255,11 @@ def test_bad_boundary_csv_exits_2(tmp_path, capsys, samples):
     ("theta,u\n0,1\n2\n4,1\n", 2, "has a row without 2 cells"),
     ("theta,u\n0,1\n2,\n4,1\n", 2, "cannot read boundary CSV"),
     ("theta,u\n0,1\n,\n4,1\n", 2, "cannot read boundary CSV"),
-], ids=["bom-and-blank-line", "missing-cell", "blank-cell", "blank-cells"])
+    ("theta,u\r\n0,1\r\n2,0\r\n4,1\r\n   \r\n", 0, None),
+    ("theta,u\n0,1\n \t \n4,1\n", 0, None),
+    ("theta,u\n0,1\n2,  \n4,1\n", 2, "could not convert string to float: '  '"),
+], ids=["bom-and-blank-line", "missing-cell", "blank-cell", "blank-cells", "line-of-spaces",
+        "line-of-blanks", "one-blank-cell"])
 def test_boundary_csv_exports(tmp_path, capsys, text, code, message):
     path = tmp_path / "bc.csv"
     path.write_text(text, encoding="utf-8")
@@ -284,6 +296,23 @@ def test_numeric_csv_path_exits_2_without_reading_stdin(tmp_path, spec, stdin):
         assert os.lseek(fh.fileno(), 0, os.SEEK_CUR) == 0
     assert done.returncode == 2
     assert "CSV path must be a file name" in done.stderr
+
+
+@pytest.mark.parametrize("tail, code", [("   \r\n", 0), ("0, ,2\r\n", 2)],
+                         ids=["line-of-spaces", "one-blank-cell"])
+def test_conductivity_csv_blank_rows(tmp_path, capsys, tail, code):
+    path = tmp_path / "sigma.csv"
+    path.write_text("x,y,sigma\r\n-1,-1,2\r\n-1,1,2\r\n1,-1,2\r\n1,1,2\r\n" + tail,
+                    newline="")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "conductivity": {"variant": "csv", "path": str(path)},
+        "boundary_data": {"expression": "harmonic-quadratic"},
+        "N": 4, "P": 12, "S": 50, "Q": 100,
+    }))
+    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == code
+    if code:
+        assert "could not convert string to float: ' '" in capsys.readouterr().err
 
 
 def test_conductivity_csv_variant(tmp_path):

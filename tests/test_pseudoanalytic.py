@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -64,14 +65,6 @@ def test_mesh_geometry():
     assert math.isclose(mesh.boundary_weights.sum(), 2 * math.pi, rel_tol=1e-12)
 
 
-def test_mesh_offcenter():
-    mesh = radial_mesh(16, 60, z0=0.3 + 0.2j)
-    np.testing.assert_allclose(mesh.nodes[:, 0], 0.3 + 0.2j, atol=1e-15)
-    np.testing.assert_allclose(np.abs(mesh.nodes[:, -1]), 1.0, atol=1e-12)
-    with pytest.raises(ValidationError):
-        radial_mesh(16, 60, z0=1.0 + 0j)
-
-
 def test_mesh_corner_snapping():
     angles = (math.pi / 4, 3 * math.pi / 4, 5 * math.pi / 4)
     mesh = radial_mesh(61, 50, corner_angles=angles)
@@ -79,6 +72,35 @@ def test_mesh_corner_snapping():
         assert np.min(np.abs(mesh.theta - a)) < 1e-14
     assert len(mesh.theta) == 61
     assert math.isclose(mesh.boundary_weights.sum(), 2 * math.pi, rel_tol=1e-12)
+
+
+def test_mesh_rejects_two_corners_on_one_ray():
+    with pytest.raises(ValidationError, match=r"0\.1 and 0\.12 both snap to ray 0"):
+        radial_mesh(8, 50, corner_angles=(0.1, 0.12))
+    mesh = radial_mesh(8, 50, corner_angles=(0.1, 0.1))  # the same corner twice is one corner
+    assert mesh.theta[0] == 0.1 and len(mesh.theta) == 8
+
+
+def test_mesh_options_are_keyword_only():
+    with pytest.raises(TypeError):
+        radial_mesh(8, 50, 0.0)  # once the expansion centre, never a grading
+
+
+@pytest.mark.parametrize("corners", [(), (math.pi / 4, 3 * math.pi / 4, 5 * math.pi / 4)],
+                         ids=["uniform", "corner-snapped"])
+def test_mesh_is_centred_at_the_origin(corners):
+    mesh = radial_mesh(35, 40, corner_angles=corners)
+    assert [f.name for f in dataclasses.fields(mesh)] == ["theta", "t", "boundary_weights",
+                                                          "chunk_ops"]
+    assert np.array_equal(mesh.span, np.exp(1j * mesh.theta))
+    nodes = mesh.nodes
+    # t = 0 times a span with a negative part is -0.0, which the CSVs would print as -0
+    assert np.signbit((mesh.t[0] * mesh.span).real).any()
+    assert not np.signbit(nodes[:, 0].real).any() and not np.signbit(nodes[:, 0].imag).any()
+    assert np.abs(np.abs(nodes[:, -1]) - 1.0).max() <= 1e-15
+    rays = slice(11, 34)  # a block slice, as the ray blocks of formal_powers take it
+    part = replace(mesh, theta=mesh.theta[rays], boundary_weights=mesh.boundary_weights[rays])
+    assert part.nodes.tobytes() == nodes[rays].tobytes()
 
 
 def test_mesh_rim_grading():
@@ -331,7 +353,7 @@ def p_fields(mesh):
 @pytest.mark.parametrize("S", [3, 4, 17, 18, 19, 60, 401])
 @pytest.mark.parametrize("grading", [1.0, 2.0])
 def test_fg_integral_matches_complex_kernel(rule, S, grading):
-    mesh = radial_mesh(9, S, z0=0.1 - 0.2j, rim_grading=grading)
+    mesh = radial_mesh(9, S, rim_grading=grading)
     rng = np.random.default_rng(S)
     W = rng.normal(size=mesh.nodes.shape) + 1j * rng.normal(size=mesh.nodes.shape)
     for name, p in p_fields(mesh).items():
@@ -346,8 +368,7 @@ def test_fg_integral_matches_complex_kernel_on_a_ray_slice():
     # a ragged slice of rays, as the ray blocks of the dense rebuild take it
     mesh = radial_mesh(40, 60, rim_grading=2.0)
     rays = slice(11, 34)
-    part = replace(mesh, theta=mesh.theta[rays], span=mesh.span[rays],
-                   boundary_weights=mesh.boundary_weights[rays])
+    part = replace(mesh, theta=mesh.theta[rays], boundary_weights=mesh.boundary_weights[rays])
     rng = np.random.default_rng(1)
     W = rng.normal(size=part.nodes.shape) + 1j * rng.normal(size=part.nodes.shape)
     for rule in ("cubic", "trapezoid"):

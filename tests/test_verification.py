@@ -122,6 +122,12 @@ def test_divergence_skips_near_boundary_points(caplog):
     assert any("skipping" in r.message for r in caplog.records)
 
 
+def test_divergence_rejects_a_check_of_no_point():
+    case = lorentzian_case(0.0)
+    with pytest.raises(ValidationError, match=r"h = 0\.5"):
+        divergence_residual(case.sigma, case.u, interior_points(200), h=0.5)
+
+
 def test_boundary_data_evaluates_on_rim():
     case = sinusoidal_case(math.pi)
     th = np.array([0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
