@@ -132,14 +132,7 @@ def error_norm(data: np.ndarray, fitted: np.ndarray, weights=None) -> float:
 def upsample_periodic_linear(theta_src: np.ndarray, values: np.ndarray,
                              theta_dst: np.ndarray) -> np.ndarray:
     """Periodic linear interpolation of a boundary trace in theta."""
-    th = np.asarray(theta_src, float)
-    v = np.asarray(values, float)
-    order = np.argsort(th)
-    th, v = th[order], v[order]
-    th_ext = np.concatenate([th, [th[0] + 2 * math.pi]])
-    v_ext = np.concatenate([v, [v[0]]])
-    return np.interp(np.asarray(theta_dst, float) % (2 * math.pi), th_ext, v_ext,
-                     period=2 * math.pi)
+    return np.interp(theta_dst, theta_src, values, period=2 * math.pi)
 
 
 def reconstruct_interior(res: SolveResult) -> np.ndarray:

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .boundary_solver import error_norm, reconstruct_interior, solve_dirichlet
-from .conductivity import AnalyticSeparable
 from .errors import DomainError, NumericalError, ValidationError
 from .formal_powers import build_table, pseudoanalyticity_check, rows, write_csv, write_powers_csv
 from .presets import (
@@ -34,6 +33,7 @@ from .presets import (
 )
 from .pseudoanalytic import (
     build_sequence,
+    limit_construction,
     radial_mesh,
     successor_residual,
     successor_residual_mesh,
@@ -179,7 +179,7 @@ def run_verify(config: RunConfig, out_dir) -> int:
              for m, sq in zip(meshes, seqs)]
     succ_mesh = [successor_residual_mesh(sq, m) for m, sq in zip(meshes, seqs)]
 
-    limit_gap = seqs[0].period == 1 and not isinstance(field, AnalyticSeparable)
+    limit_gap = limit_construction(field)
     vq_pass, vq_ratio = ratio_ok(vekua[0], vekua[1], thresholds["vekua_ratio"])
     checks["vekua_per_degree"] = {
         "residuals": [float(v) for v in vekua[0]],

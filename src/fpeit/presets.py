@@ -287,8 +287,6 @@ def _boundary_from_csv(path):
         raise ValidationError(f"boundary CSV {path!r} holds a non-finite theta or u")
     if np.any(np.diff(np.sort(np.mod(th, 2 * math.pi))) == 0):
         raise ValidationError(f"boundary CSV {path!r} repeats an angle modulo 2*pi")
-    order = np.argsort(th)
-    th, vals = th[order], vals[order]
     from .boundary_solver import upsample_periodic_linear
 
     return lambda q: upsample_periodic_linear(th, vals, q)

@@ -487,43 +487,36 @@ class GeneratingSequence:
         return self.pairs[m % self.period]
 
 
+def limit_construction(field: ConductivityField) -> bool:
+    """True when sigma is not separable, so its sequence is the period-1 limit case."""
+    return not isinstance(field, (AnalyticSeparable, PiecewiseSeparable))
+
+
+def pair_fields(field: ConductivityField, x, y) -> tuple:
+    """The field p of each pair of the impedance-to-Vekua reduction, at points (x, y).
+
+    Separable fields give (p2/p1, p1 p2) with p1 = sqrt(sigma1), p2 = sqrt(sigma2)
+    (per slab where applicable); the limit construction gives (sqrt(sigma),).
+    """
+    if limit_construction(field):
+        return (np.sqrt(field.evaluate(x, y)),)
+    s1, s2 = field.separable_parts(x, y)
+    p1, p2 = np.sqrt(s1), np.sqrt(s2)
+    return p2 / p1, p1 * p2
+
+
 def build_sequence(field: ConductivityField, mesh: RadialMesh) -> GeneratingSequence:
     """Generating sequence of the impedance-to-Vekua reduction for a conductivity field.
 
-    Separable fields (analytic or slab-wise) give the period-2 sequence
-
-        even m: (p2/p1, i p1/p2),   odd m: (p1 p2, i/(p1 p2)),
-
-    with p1 = sqrt(sigma1), p2 = sqrt(sigma2) (per slab where applicable).
-    When the two pairs coincide (sigma1 constant) the period degenerates
-    to 1. Limit-case and scene fields give the period-1 sequence with
-    p = sqrt(sigma) at every node.
+    Pair j is (p, i/p) with p = ``pair_fields(field, x, y)[j]`` sampled at the
+    mesh nodes and backed by that callable. The separable sequence (period 2)
+    degenerates to period 1 when its two pairs coincide (sigma1 constant).
     """
-    x, y = mesh.xy()
-    if isinstance(field, (AnalyticSeparable, PiecewiseSeparable)):
-        s1, s2 = field.separable_parts(x, y)
-        p1, p2 = np.sqrt(s1), np.sqrt(s2)
-
-        def p_even(a, b):
-            u1, u2 = field.separable_parts(np.asarray(a, float), np.asarray(b, float))
-            return np.sqrt(u2 / u1)
-
-        def p_odd(a, b):
-            u1, u2 = field.separable_parts(np.asarray(a, float), np.asarray(b, float))
-            return np.sqrt(u1 * u2)
-
-        even = GeneratingPair(p2 / p1, p_even)
-        odd = GeneratingPair(p1 * p2, p_odd)
-        if np.array_equal(even.p, odd.p):
-            return GeneratingSequence((even,))
-        return GeneratingSequence((even, odd))
-
-    p = np.sqrt(field.evaluate(x, y))
-
-    def p_fn(a, b):
-        return np.sqrt(field.evaluate(a, b))
-
-    return GeneratingSequence((GeneratingPair(p, p_fn),))
+    ps = pair_fields(field, *mesh.xy())
+    if len(ps) == 2 and np.array_equal(*ps):
+        ps = ps[:1]
+    return GeneratingSequence(tuple(GeneratingPair(p, lambda a, b, j=j: pair_fields(field, a, b)[j])
+                                    for j, p in enumerate(ps)))
 
 
 def _successor_gaps(seq: GeneratingSequence, coefficients):

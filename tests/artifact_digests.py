@@ -2,10 +2,14 @@
 
 Run it on two trees and compare the outputs to check that a change leaves
 every artifact byte-identical:  PYTHONPATH=src python tests/artifact_digests.py
+With ``--against BASE.json`` (an earlier output) it prints instead each
+``run artifact`` whose digest differs from BASE, or is missing from either
+side, and exits 1 if there is any.
 Each preset runs ``solve`` with ``interior`` and ``dump_powers``, ``solve``
 with ``dense_error`` off (unless its dense fit needs the dense error) and
 ``verify``. report.json is hashed without ``timings`` and ``wall_time``.
 """
+import argparse
 import contextlib
 import hashlib
 import json
@@ -28,6 +32,10 @@ def digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+parser = argparse.ArgumentParser(description="sha256 of every preset artifact")
+parser.add_argument("--against", metavar="BASE.json", help="list the artifacts that differ from BASE")
+args = parser.parse_args()
+
 digests = {}
 for preset in PRESET_NAMES:
     for run, (command, options) in RUNS.items():
@@ -37,4 +45,13 @@ for preset in PRESET_NAMES:
         with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(sys.stderr):
             command(config, out)
             digests[f"{preset}:{run}"] = {p.name: digest(p) for p in sorted(Path(out).iterdir())}
-print(json.dumps(digests, indent=1, sort_keys=True))
+if args.against is None:
+    print(json.dumps(digests, indent=1, sort_keys=True))
+    sys.exit(0)
+base = json.loads(Path(args.against).read_text())
+changed = [f"{run} {name}" for run in sorted(set(digests) | set(base))
+           for name in sorted(set(digests.get(run, {})) | set(base.get(run, {})))
+           if digests.get(run, {}).get(name) != base.get(run, {}).get(name)]
+for line in changed:
+    print(line)
+sys.exit(1 if changed else 0)

@@ -159,6 +159,29 @@ def test_upsample_periodic_linear():
     assert mid[0] == pytest.approx(0.5 * (vals[-1] + vals[0]), abs=1e-12)
 
 
+def test_upsample_periodic_linear_unsorted_and_unwrapped_angles():
+    rng = np.random.default_rng(7)
+    base = np.sort(rng.uniform(0, 2 * math.pi, 11))
+    vals = np.sin(base) + 0.3 * np.cos(3 * base)
+    # the same nodes, shuffled and shifted by whole turns out of [0, 2pi)
+    order = rng.permutation(len(base))
+    th = base[order] + 2 * math.pi * rng.integers(-2, 3, len(base))
+    q = rng.uniform(-3 * 2 * math.pi, 4 * 2 * math.pi, 200)
+    q = np.concatenate([q, th, [0.0, 2 * math.pi, -2 * math.pi]])
+    out = upsample_periodic_linear(th, vals[order], q)
+
+    def reference(t):  # brute force: find the arc between consecutive nodes holding t
+        t = t % (2 * math.pi)
+        for k in range(len(base)):
+            a, b = base[k], base[(k + 1) % len(base)] + (2 * math.pi if k == len(base) - 1 else 0)
+            for tt in (t, t + 2 * math.pi):
+                if a <= tt <= b:
+                    return vals[k] + (tt - a) / (b - a) * (vals[(k + 1) % len(base)] - vals[k])
+        raise AssertionError(t)
+
+    np.testing.assert_allclose(out, [reference(t) for t in q], rtol=0, atol=1e-14)
+
+
 def test_reconstruct_interior_harmonic():
     res = solve_dirichlet(constant_field(1.0), lambda th: np.cos(2 * th), N=5, P=48, S=150,
                           Q=48, dense_error=False)

@@ -15,7 +15,7 @@ from fpeit.conductivity import (
 from fpeit import pseudoanalytic
 from fpeit.errors import NumericalError, ValidationError
 from fpeit.formal_powers import build_table, pseudoanalyticity_check
-from fpeit.presets import build_field, config_from_dict, corner_angles_for
+from fpeit.presets import PRESET_NAMES, build_field, config_from_dict, corner_angles_for
 from fpeit.pseudoanalytic import (
     GeneratingPair,
     _coefficients,
@@ -25,6 +25,7 @@ from fpeit.pseudoanalytic import (
     _vekua_operator,
     build_sequence,
     characteristic_coefficients,
+    limit_construction,
     fg_integral,
     radial_mesh,
     successor_residual,
@@ -592,6 +593,23 @@ def test_sequence_piecewise_separable():
     mesh = radial_mesh(12, 60)
     seq = build_sequence(field, mesh)
     assert seq.period == 2
+
+
+PIECEWISE_OF = {"variant": "piecewise-of", "source": {"variant": "lorentzian", "beta": 0.5},
+                "M": 8, "q": 12}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES + ("piecewise-of",))
+def test_pair_callables_reproduce_the_sampled_pairs_bitwise(name):
+    # the mesh samples and the callables the Cartesian check differentiates are one formula
+    doc = ({"conductivity": PIECEWISE_OF, "boundary_data": {"case": "constant"}}
+           if name == "piecewise-of" else {"preset": name})
+    field = build_field(config_from_dict(doc))
+    mesh = radial_mesh(35, 100)
+    seq = build_sequence(field, mesh)
+    assert seq.period == (1 if limit_construction(field) or name == "constant" else 2)
+    for pair in seq.pairs:
+        np.testing.assert_array_equal(pair.p_fn(*mesh.xy()), pair.p)
 
 
 def test_successor_condition_cartesian_floor():
