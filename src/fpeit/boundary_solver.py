@@ -48,7 +48,7 @@ class OrthonormalBasis:
 
 
 def orthonormalize(system: BoundarySystem, drop_tol: float = 1e-10) -> OrthonormalBasis:
-    """Modified Gram-Schmidt with one re-orthogonalization pass.
+    """Classical Gram-Schmidt with one re-orthogonalization pass (CGS2).
 
     Functions are processed in the system order. A function whose
     post-projection norm falls below ``drop_tol`` times its original norm is
@@ -73,7 +73,7 @@ def orthonormalize(system: BoundarySystem, drop_tol: float = 1e-10) -> Orthonorm
         if kept_u:
             U = np.asarray(kept_u)
             T = np.asarray(kept_t)
-            for _ in range(2):  # MGS + one re-orthogonalization pass
+            for _ in range(2):  # CGS, every coefficient from the same v, then once more
                 c = U @ (w * v)
                 v = v - c @ U
                 tv = tv - c @ T

@@ -105,6 +105,8 @@ def run_solve(config: RunConfig, out_dir) -> int:
         # one kept function per fit node, so the node fit interpolates the data
         "basis_saturated": (config.fit_quadrature == "nodes"
                             and len(res.basis.labels) == len(res.basis.theta)),
+        # sigma is not separable: its period-1 sequence only approximates the reduction
+        "limit_construction": limit_construction(field),
     }
     report = {
         "preset": config.preset,
@@ -137,10 +139,9 @@ def run_verify(config: RunConfig, out_dir) -> int:
     truncation measurements, so they are thresholded on their decrease under
     joint mesh doubling rather than on absolute size; the Cartesian successor
     residual for separable conductivities sits at the rounding floor and gets
-    an absolute threshold. For period-1 sequences built from x-dependent
-    conductivities the successor residual measures the limit-construction
-    gap and the Vekua residual sees the conductivity jumps, so both are
-    reported without thresholds.
+    an absolute threshold. For the limit construction (sigma not separable)
+    the successor residual measures its gap and the Vekua residual sees the
+    conductivity jumps, so both are reported without thresholds.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -388,7 +388,12 @@ def _shape_from_dict(s: dict):
                              float(s["value"]))
         if len(shape.vertices) < 3:
             raise ValidationError("polygon needs at least 3 vertices")
-        geometry, empty = sum(shape.vertices, ()), False
+        v = np.array(shape.vertices)
+        # vertices on one line, coincident ones included, enclose nothing (a bow-tie does);
+        # non-finite ones are reported below
+        empty = np.isfinite(v).all() and (np.linalg.svd(v - v.mean(axis=0), compute_uv=False)[-1]
+                                           <= 1e-12 * np.abs(v).max())
+        geometry = v.ravel()
     else:
         raise ValidationError(f"unknown shape kind {kind!r}")
     if not all(map(math.isfinite, geometry)):

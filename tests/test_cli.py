@@ -143,8 +143,10 @@ def test_error_quadrature_gap_of_a_smooth_and_a_jump_case(tmp_path):
     for name in ("sinusoidal", "disk-0.6"):
         cfg = config_from_dict({"preset": name, "N": 8, "S": 101, "Q": 500})
         assert run_solve(cfg, tmp_path / name) == 0
-        gaps[name] = json.loads((tmp_path / name / "report.json").read_text())[
-            "diagnostics"]["error_quadrature_gap"]
+        diagnostics = json.loads((tmp_path / name / "report.json").read_text())["diagnostics"]
+        gaps[name] = diagnostics["error_quadrature_gap"]
+        # the separable sinusoidal field is reduced exactly, the disk scene by the limit case
+        assert diagnostics["limit_construction"] is (name == "disk-0.6")
     assert 0.0 <= gaps["sinusoidal"] <= 1e-8
     assert 1e-4 <= gaps["disk-0.6"] <= 1.0
 
@@ -405,6 +407,29 @@ def test_load_config_roundtrip(tmp_path):
     assert cfg.conductivity["shapes"][0]["cx"] == 0.6
 
 
+@pytest.mark.parametrize("vertices", [[[0, 0], [0.5, 0], [0.9, 0]],
+                                      [[0.1, 0.1], [0.1, 0.1], [0.1, 0.1]],
+                                      [[-0.3, -0.3], [0.3, 0.3], [0.3, 0.3], [0.0, 0.0]]],
+                         ids=["segment", "one-point", "diagonal-with-repeats"])
+def test_collinear_polygon_exits_2(tmp_path, capsys, vertices):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"preset": "constant", "N": 2, "P": 6, "S": 50,
+                                    "conductivity": scene_with(kind="polygon",
+                                                               vertices=vertices)}))
+    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert "polygon encloses no area" in capsys.readouterr().err
+
+
+def test_bow_tie_polygon_and_triangle_preset_are_accepted(tmp_path):
+    # the bow-tie's signed shoelace area is 0, but its even-odd interior has area
+    bow_tie = scene_with(kind="polygon", vertices=[[-0.5, -0.5], [0.5, 0.5],
+                                                   [0.5, -0.5], [-0.5, 0.5]])
+    field = build_field(config_from_dict({"conductivity": bow_tie,
+                                          "boundary_data": {"case": "constant"}}))
+    assert field.evaluate(0.4, 0.0) == 100.0 and field.evaluate(0.0, 0.4) == 10.0
+    assert len(build_field(config_from_dict({"preset": "triangle"})).shapes) == 1
+
+
 def test_scene_with_polygon_snaps_corners(tmp_path):
     cfg = config_from_dict({"preset": "triangle", "N": 4, "P": 24, "S": 60, "Q": 100,
                             "fit_quadrature": "nodes"})
@@ -431,6 +456,15 @@ def test_abbreviated_threads_flag_sets_every_cap(tmp_path, monkeypatch):
     assert _entry.main(["powers", "--config", str(cfg_path), "--thr", "1",
                         "--out", str(tmp_path)]) == 0
     assert all(os.environ[var] == "1" for var in _entry._THREAD_VARS)
+
+
+def test_threads_above_the_usable_cores_are_clamped(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "environ", {})  # _apply_threads alone starts no thread
+    _entry._apply_threads(64)
+    assert os.environ == {var: "2" for var in _entry._THREAD_VARS}
+    _entry._apply_threads(1)
+    assert os.environ == {var: "1" for var in _entry._THREAD_VARS}
 
 
 def test_explicit_threads_override_inherited_caps(monkeypatch):
