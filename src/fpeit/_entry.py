@@ -31,7 +31,7 @@ def _peek_threads(argv):
 
 
 def _apply_threads(k: int) -> None:
-    """Cap every thread variable at K, or at the usable cores if fewer, overriding the shell's values."""
+    """Cap every thread variable at min(K, usable cores), overriding the shell's values."""
     k = min(k, len(os.sched_getaffinity(0)))
     for var in _THREAD_VARS:
         os.environ[var] = str(k)

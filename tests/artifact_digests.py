@@ -33,7 +33,8 @@ def digest(path: Path) -> str:
 
 
 parser = argparse.ArgumentParser(description="sha256 of every preset artifact")
-parser.add_argument("--against", metavar="BASE.json", help="list the artifacts that differ from BASE")
+parser.add_argument("--against", metavar="BASE.json",
+                    help="list the artifacts whose digest differs from BASE")
 args = parser.parse_args()
 
 digests = {}

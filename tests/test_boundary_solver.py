@@ -158,8 +158,6 @@ def test_upsample_periodic_linear():
     # midpoint of the wrap-around interval is the chord average
     assert mid[0] == pytest.approx(0.5 * (vals[-1] + vals[0]), abs=1e-12)
 
-
-def test_upsample_periodic_linear_unsorted_and_unwrapped_angles():
     rng = np.random.default_rng(7)
     base = np.sort(rng.uniform(0, 2 * math.pi, 11))
     vals = np.sin(base) + 0.3 * np.cos(3 * base)
