@@ -49,8 +49,7 @@ import numpy as np
 
 from .conductivity import ConductivityField
 from .errors import ValidationError
-from .pseudoanalytic import (GeneratingSequence, RadialMesh, _Chains, _check_finite,
-                             _vekua_operator, build_sequence)
+from .pseudoanalytic import GeneratingSequence, RadialMesh, _Chains, _vekua_operator, build_sequence
 
 log = logging.getLogger(__name__)
 
@@ -188,8 +187,7 @@ def fitted_field(field: ConductivityField, mesh: RadialMesh, N: int, a, rule: st
         chains.state[:] = 0.0
         chains.add_degree_zero(N % k, (a[N],))
         for d in range(N, 0, -1):
-            chains.step((d % k, (d - 1) % k), d)
-            _check_finite(chains.state[:S + 1], d, chains.first_ray)
+            chains.step(d % k, d)
             chains.add_degree_zero((d - 1) % k, (a[d - 1],))
         out[rays] = chains.state[steps, 0, 0].T * chains.ps[0][:, steps]
 
@@ -197,23 +195,15 @@ def fitted_field(field: ConductivityField, mesh: RadialMesh, N: int, a, rule: st
     return out
 
 
-def pseudoanalyticity_check(table: FormalPowerTable, p: np.ndarray,
-                            keep: np.ndarray | None = None) -> np.ndarray:
+def pseudoanalyticity_check(table: FormalPowerTable, p: np.ndarray) -> np.ndarray:
     """Max interior Vekua residual of each degree (both seeds).
 
     ``p`` is the pair-0 field sqrt-of-conductivity sampled on the mesh.
-    ``keep``, when given, is a boolean node mask restricting the check (used
-    to stay clear of conductivity discontinuities, where the mesh
-    finite differences see the jump rather than the equation).
     """
     residual = _vekua_operator(p, table.mesh)
     out = np.empty(table.N + 1)
     for n in range(table.N + 1):
-        res = np.fmax(residual(table.Z1[n]), residual(table.Zi[n]))
-        res = res[:, 1:-1]
-        if keep is not None:
-            res = np.where(keep[:, 1:-1], res, np.nan)
-        out[n] = float(np.nanmax(res))
+        out[n] = float(np.nanmax(np.fmax(residual(table.Z1[n]), residual(table.Zi[n]))[:, 1:-1]))
     return out
 
 

@@ -330,9 +330,20 @@ class _Chains:
         buffer = np.zeros(((C - 1) * b + width, self.state[0].size))
         self.integrands = buffer[-lo:S + 1 - lo].reshape((S + 1,) + self.state.shape[1:])
         self.windows = sliding_window_view(buffer, width, axis=0)[::b].transpose(0, 2, 1)
-        # integrand coefficients per step; a step from pair j goes to pair j - 1 (mod k)
-        self.coefficient_store = np.empty((len(ps), 2, 2, S + 1, mesh.ray_count))
-        self.coefficients = {}
+        # integrand coefficients of the step that leaves pair k for pair j = k - 1 (mod
+        # the period): with W = pk A + i B / pk and span = sr + i si, the two real
+        # integrands of the pair-j integral are A pk sr/pj - B si/(pk pj) and
+        # A pk pj si + B pj sr/pk, written in place: temporaries would fault in fresh
+        # pages in every block
+        store = np.empty((len(ps), 2, 2, S + 1, mesh.ray_count))
+        sr, si = mesh.span.real, mesh.span.imag
+        for k, c in enumerate(store):
+            pk, pj = ps[k].T, ps[k - 1].T
+            np.divide(np.multiply(pk, sr, out=c[0, 0]), pj, out=c[0, 0])
+            np.divide(-si, np.multiply(pk, pj, out=c[1, 0]), out=c[0, 1])
+            np.multiply(c[1, 0], si, out=c[1, 0])
+            np.divide(np.multiply(pj, sr, out=c[1, 1]), pk, out=c[1, 1])
+        self.coefficients = np.moveaxis(store, 3, 1)  # (period, S+1, 2, 2, P)
 
     def powers(self, N: int):
         """Yield (d, A, B) at each pair-0 degree d <= N, A and B (S+1, seeds, P).
@@ -349,10 +360,8 @@ class _Chains:
             if start % k == 0:
                 yield 0, self.state[:S + 1, 0], self.state[:S + 1, 1]
             for d in range(1, N - (N - start) % k + 1):
-                pair = ((start - d + 1) % k, (start - d) % k)
-                self.step(pair, d)
-                _check_finite(self.state[:S + 1], d, self.first_ray)
-                if pair[1] == 0:
+                self.step((start - d + 1) % k, d)
+                if (start - d) % k == 0:
                     yield d, self.state[:S + 1, 0], self.state[:S + 1, 1]
 
     def add_degree_zero(self, j: int, seeds):
@@ -362,27 +371,17 @@ class _Chains:
         self.state += np.array([[complex(a).real / p0 for a in seeds],
                                 [complex(a).imag * p0 for a in seeds]])[:, :, None]
 
-    def step(self, pair: tuple, d: int):
-        """Advance every chain to degree d: d times the integral, with the pair of
-        index ``pair[1]``, of the state, whose power carries pair index ``pair[0]``."""
-        if pair not in self.coefficients:
-            # with W = pk A + i B / pk and span = sr + i si, the two real integrands of the
-            # pair-j integral are A pk sr/pj - B si/(pk pj) and A pk pj si + B pj sr/pk,
-            # written in place: temporaries would fault in fresh pages in every block
-            (pk, pj), c = (self.ps[k].T for k in pair), self.coefficient_store[pair[0]]
-            span = self.mesh.span
-            sr, si = span.real, span.imag
-            np.divide(np.multiply(pk, sr, out=c[0, 0]), pj, out=c[0, 0])
-            np.divide(-si, np.multiply(pk, pj, out=c[1, 0]), out=c[0, 1])
-            np.multiply(c[1, 0], si, out=c[1, 0])
-            np.divide(np.multiply(pj, sr, out=c[1, 1]), pk, out=c[1, 1])
-            self.coefficients[pair] = np.moveaxis(c, 2, 0)  # (S+1, 2, 2, P)
-        np.einsum("scir,sinr->scnr", self.coefficients[pair],
+    def step(self, k: int, d: int):
+        """Advance every chain to degree d: d times the integral, with the pair of index
+        k - 1 (mod the period), of the state, whose power carries pair index k; then
+        raise on a non-finite value, naming degree d, its ray and its step."""
+        np.einsum("scir,sinr->scnr", self.coefficients[k],
                   self.state[:len(self.integrands)], out=self.integrands)
         Y = self.state[1:].reshape(self.op.shape[:2] + (-1,))    # (C, b, columns)
         np.matmul(d * self.op, self.windows, out=Y)
         Y[1:] += np.cumsum(Y[:-1, -1:], axis=0)                   # carry the chunk totals
         self.state[0] = 0.0
+        _check_finite(self.state[:self.mesh.step_count + 1], d, self.first_ray)
 
 
 def fg_integral(W: np.ndarray, pair: GeneratingPair, mesh: RadialMesh,
@@ -399,7 +398,7 @@ def fg_integral(W: np.ndarray, pair: GeneratingPair, mesh: RadialMesh,
     chains = _Chains([p], mesh, (1.0,), rule)
     chains.state[:S + 1, 0, 0] = (np.real(W) / p).T
     chains.state[:S + 1, 1, 0] = (p * np.imag(W)).T
-    chains.step((0, 0), 1)
+    chains.step(0, 1)
     return p * chains.state[:S + 1, 0, 0].T + 1j * (chains.state[:S + 1, 1, 0].T / p)
 
 
