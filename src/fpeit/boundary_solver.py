@@ -174,7 +174,9 @@ def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 
     residual norm is integrated on Q equally spaced boundary points; with
     ``dense_error`` (default) the fitted trace is re-evaluated there on a
     Q-ray mesh (``fitted_field``: one Horner chain per ray block), otherwise it
-    is upsampled from the fit nodes by periodic linear interpolation.
+    is upsampled from the fit nodes by periodic linear interpolation. That
+    cheap E measures the interpolation of the fitted node values, and is
+    neither a lower nor an upper bound on the error of the fit.
 
     ``fit_quadrature`` selects where the coefficients are determined:
     ``"nodes"`` projects onto the orthonormal basis at the P fit nodes;

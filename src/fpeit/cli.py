@@ -253,7 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
                              help="fit boundary data and write CSV artifacts")
     p_solve.add_argument("--out", type=str, default="out", help="output directory")
     p_solve.add_argument("--cheap-error", action="store_true",
-                         help="upsample the fitted trace instead of rebuilding it densely")
+                         help="measure E on the linear interpolation of the fitted node values "
+                              "instead of rebuilding the fitted trace densely; not a bound on "
+                              "the fit's error")
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run residual oracles and write verify.json")

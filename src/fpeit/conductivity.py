@@ -372,8 +372,23 @@ class GeometricScene(ConductivityField):
                      for angle in sh.corner_angles())
 
 
+def check_keys(spec: dict, allowed, where: str):
+    """Raise on a key of the ``where`` spec outside ``allowed``."""
+    unknown = set(spec) - set(allowed)
+    if unknown:
+        raise ValidationError(f"unknown {where} keys {sorted(unknown)}; "
+                              f"known: {', '.join(allowed)}")
+
+
+# the keys each scene shape kind reads beside "kind"
+SHAPE_KEYS = {"disk": ("cx", "cy", "r2", "value"),
+              "annulus": ("cx", "cy", "r2_inner", "r2_outer", "value"),
+              "polygon": ("vertices", "value")}
+
+
 def _shape_from_dict(s: dict):
-    """One shape of a scene fragment; its geometry must be finite and enclose some area."""
+    """One shape of a scene fragment; its geometry must be finite and enclose some area,
+    and it may hold no key its kind does not read."""
     kind = s["kind"]
     if kind == "disk":
         shape = DiskShape(float(s["cx"]), float(s["cy"]), float(s["r2"]), float(s["value"]))
@@ -400,6 +415,7 @@ def _shape_from_dict(s: dict):
         raise ValidationError(f"scene conductivity {kind} has non-finite geometry: {s!r}")
     if empty:
         raise ValidationError(f"scene conductivity {kind} encloses no area: {s!r}")
+    check_keys(s, ("kind", *SHAPE_KEYS[kind]), f"scene conductivity {kind}")
     return shape
 
 

@@ -20,6 +20,7 @@ from .conductivity import (
     LimitCase,
     build_piecewise,
     sample_piecewise,
+    check_keys,
     constant_field,
     load_conductivity_csv,
     radial_rings_field,
@@ -41,6 +42,20 @@ DEFAULT_THRESHOLDS = {
     "successor_mesh_ratio": 1.2,
     "successor_cartesian": 1e-6,
     "residual_floor": 1e-10,     # below this a residual is rounding noise, no ratio asked
+}
+
+# the keys that each kind of conductivity and boundary_data spec reads beside its
+# selector (variant, case or expression), by selector and name; {"csv": path} has none
+SPEC_KEYS = {
+    "conductivity": {"variant": {
+        "constant": ("value",), "sinusoidal": ("omega",), "lorentzian": ("beta",),
+        "radial-rings": (), "scene": ("background", "shapes"), "csv": ("path",),
+        "piecewise": ("samples", "edges", "K", "interpolant"),
+        "piecewise-of": ("source", "M", "q", "K", "interpolant"), "limit-of": ("source",)}},
+    "boundary_data": {
+        "case": {"sinusoidal": ("omega",), "lorentzian": ("beta",), "constant": ()},
+        "expression": {"shifted-cubic": ("beta",), "harmonic-quadratic": ()},
+        "csv": None},
 }
 
 
@@ -73,8 +88,7 @@ class RunConfig:
                 raise ValidationError(f"{key} must be an integer, got {value!r}")
         for key in ("rim_grading", "fd_h", "drop_tol"):
             value = getattr(self, key)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value) or value <= 0):
+            if not _finite(value) or value <= 0:
                 raise ValidationError(f"{key} must be a finite number > 0, got {value!r}")
         for key in ("dense_error", "interior", "dump_powers", "corner_snap"):
             if not isinstance(getattr(self, key), bool):
@@ -83,8 +97,7 @@ class RunConfig:
             raise ValidationError(f"thresholds must map keys of {sorted(DEFAULT_THRESHOLDS)} "
                                   f"to numbers, got {self.thresholds!r}")
         for key, value in self.thresholds.items():
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
+            if not _finite(value):
                 raise ValidationError(f"thresholds {key} must be a finite number, got {value!r}")
         for key, allowed in (("rule", ("cubic", "trapezoid")),
                              ("fit_quadrature", ("nodes", "dense"))):
@@ -104,6 +117,7 @@ class RunConfig:
                 raise ValidationError(f"{key} must be a JSON object, got {spec!r}")
             if not spec:
                 raise ValidationError(f"config is missing the {key} spec")
+            _check_spec_keys(key, spec)
             for name in ("omega", "beta", "value"):
                 if name in spec:
                     _parameter(spec, name, None, where=key)
@@ -201,10 +215,30 @@ def load_config(path) -> RunConfig:
     return config_from_dict(doc)
 
 
+def _check_spec_keys(key: str, spec: dict):
+    """Raise unless the ``key`` spec names a known kind and holds only keys it reads:
+    a misspelled key would otherwise be ignored and its default used."""
+    kinds = SPEC_KEYS[key]
+    selector = next((s for s in kinds if s in spec), next(iter(kinds)))
+    names, name = kinds[selector], spec.get(selector)
+    if names is None:
+        allowed, where = (), f"{key} {selector}"
+    elif isinstance(name, str) and name in names:
+        allowed, where = names[name], f"{key} {selector} {name!r}"
+    else:
+        raise ValidationError(f"unknown {key} {selector} {name!r}; known: {', '.join(names)}")
+    check_keys(spec, (selector, *allowed), where)
+
+
+def _finite(value, kind=numbers.Real) -> bool:
+    """True for a finite ``kind`` that is not a bool (JSON true and false load as ints)."""
+    return not isinstance(value, bool) and isinstance(value, kind) and math.isfinite(value)
+
+
 def _parameter(spec: dict, key: str, default, kind=numbers.Real, where: str = "slab"):
     """Parameter ``key`` of a ``where`` spec, a finite ``kind`` that is not a bool."""
     value = spec.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+    if not _finite(value, kind):
         noun = "integer" if kind is numbers.Integral else "number"
         raise ValidationError(f"{where} parameter {key} must be a finite {noun}, got {value!r}")
     return value
@@ -230,10 +264,12 @@ def build_field(config: RunConfig) -> ConductivityField:
         return load_conductivity_csv(spec["path"])
     if variant == "piecewise":
         try:
-            samples = [(s["chi"], list(zip(s["ys"], s["sigmas"]))) for s in spec["samples"]]
+            samples = [_slab_sample(s) for s in spec["samples"]]
             return build_piecewise(samples, spec["edges"], K=_parameter(spec, "K", 2.0),
                                    interpolant=spec.get("interpolant", "linear"))
-        except (KeyError, TypeError) as exc:
+        except ValidationError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed piecewise conductivity spec: {exc!r}") from exc
     if variant in ("piecewise-of", "limit-of"):
         src = build_field(config_from_dict({"conductivity": spec.get("source", {}),
@@ -245,6 +281,19 @@ def build_field(config: RunConfig) -> ConductivityField:
                                 K=_parameter(spec, "K", 2.0),
                                 interpolant=spec.get("interpolant", "linear"))
     raise ValidationError(f"unknown conductivity variant {variant!r}")
+
+
+def _slab_sample(s: dict) -> tuple:
+    """(chi, [(y, sigma), ...]) of a piecewise sample, which holds exactly chi, ys and
+    sigmas: finite numbers, as many ys as sigmas."""
+    if set(s) != {"chi", "ys", "sigmas"}:
+        raise ValueError(f"a sample holds exactly chi, ys and sigmas, got {sorted(s)}")
+    ys, sigmas = list(s["ys"]), list(s["sigmas"])
+    if len(ys) != len(sigmas):
+        raise ValueError(f"{len(ys)} ys for {len(sigmas)} sigmas")
+    if not all(map(_finite, [s["chi"], *ys, *sigmas])):
+        raise ValueError(f"a sample entry is not a finite number: {s!r}")
+    return s["chi"], list(zip(ys, sigmas))
 
 
 def exact_case_for(config: RunConfig) -> ExactCase | None:

@@ -279,7 +279,8 @@ def test_solve_dense_vs_cheap_error():
     data = lambda th: u(np.cos(th), np.sin(th))
     dense = solve_dirichlet(field, data, N=8, P=35, S=101, Q=500)
     cheap = solve_dirichlet(field, data, N=8, P=35, S=101, Q=500, dense_error=False)
-    # the cheap path is floored by the trace interpolation error
+    # the cheap path measures the linear interpolation of the fitted node values,
+    # here far above the dense error (it bounds that error neither way in general)
     assert dense.fit.error < 1e-10
     assert cheap.fit.error > 1e-4
     assert cheap.fit.error > dense.fit.error

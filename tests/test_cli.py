@@ -12,8 +12,10 @@ import pytest
 from fpeit import _entry
 from fpeit._entry import _peek_threads
 from fpeit.cli import main, run_solve, run_verify
+from fpeit.conductivity import SHAPE_KEYS
 from fpeit.errors import ValidationError
 from fpeit.presets import (
+    DEFAULT_THRESHOLDS,
     PRESET_NAMES,
     build_boundary_data,
     build_field,
@@ -48,10 +50,12 @@ def test_config_validation_errors():
 
 
 def scene_with(**shape):
-    """A one-shape scene conductivity: a disk unless ``shape`` says otherwise."""
+    """A one-shape scene conductivity: a disk unless ``shape`` says otherwise, without
+    the disk keys that the shape's kind does not read."""
+    shape = {"kind": "disk", "cx": 0.0, "cy": 0.0, "r2": 0.2, "value": 100.0, **shape}
+    keys = ("kind", *SHAPE_KEYS[shape["kind"]])
     return {"variant": "scene", "background": 10.0,
-            "shapes": [{"kind": "disk", "cx": 0.0, "cy": 0.0, "r2": 0.2, "value": 100.0,
-                        **shape}]}
+            "shapes": [{k: v for k, v in shape.items() if k in keys}]}
 
 
 @pytest.mark.parametrize("bad", [{"N": 2.5}, {"P": "35"}, {"N": True}, {"S": 60.0},
@@ -207,6 +211,46 @@ def test_verify_threshold_breach_exits_one(tmp_path):
     assert run_verify(cfg, tmp_path) == 1
     doc = json.loads((tmp_path / "verify.json").read_text())
     assert "divergence" in doc["failed"]
+
+
+def refinement_families(tmp_path, doc):
+    """Exit code, verify.json failures and refinement-family entries of a small verify run."""
+    code = run_verify(config_from_dict({**doc, "P": 24, "S": 80, "N": 6}), tmp_path)
+    verify = json.loads((tmp_path / "verify.json").read_text())
+    return code, verify["failed"], verify["checks"]
+
+
+def test_enforced_refinement_families_pass(tmp_path):
+    code, failed, checks = refinement_families(tmp_path, {"preset": "constant"})
+    assert code == 0 and failed == []
+    vekua = checks["vekua_per_degree"]
+    assert vekua["threshold_ratio"] == 1.2 and vekua["passed"] is True
+    assert vekua["min_ratio"] >= 1.2
+    assert len(vekua["residuals"]) == len(vekua["residuals_refined"]) == 7
+    # every successor residual is at the rounding floor, so no ratio is asked
+    succ = checks["successor_mesh"]
+    assert max(succ["residuals"]) <= DEFAULT_THRESHOLDS["residual_floor"]
+    assert succ["min_ratio"] is None and succ["passed"] is True
+    assert succ["threshold_ratio"] == 1.2
+
+
+def test_enforced_refinement_family_fails(tmp_path):
+    code, failed, checks = refinement_families(
+        tmp_path, {"preset": "sinusoidal", "thresholds": {"vekua_ratio": 1e9}})
+    vekua = checks["vekua_per_degree"]
+    assert code == 1 and failed == ["vekua_per_degree"]
+    assert vekua["threshold_ratio"] == 1e9 and vekua["passed"] is False
+    assert 1.2 < vekua["min_ratio"] < 1e9
+
+
+def test_unenforced_refinement_families(tmp_path):
+    # no exact case, and sigma is not separable: both families are reported only
+    code, failed, checks = refinement_families(
+        tmp_path, {"preset": "disk-0.6", "thresholds": {"vekua_ratio": 1e9}})
+    assert code == 0 and failed == []
+    for name in ("vekua_per_degree", "successor_mesh"):
+        assert checks[name]["threshold_ratio"] is None and checks[name]["passed"] is None
+        assert checks[name]["min_ratio"] > 0
 
 
 def test_powers_subcommand(tmp_path):
@@ -374,6 +418,39 @@ def test_bad_slab_parameters_exit_2(tmp_path, capsys, variant, bad):
         assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "invalid input" in err and f"parameter {next(iter(bad))} " in err
+        assert "Traceback" not in err
+
+
+PIECEWISE = {"variant": "piecewise", "edges": [-1.0, 1.0]}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"conductivity": {"variant": "lorentzian", "bta": 1.0},
+      "boundary_data": {"case": "lorentzian", "beta": 1.0}}, "keys ['bta']"),
+    ({"preset": "disk-0.6", "boundary_data": {"expression": "shifted-cubic", "betta": 0.6}},
+     "keys ['betta']"),
+    ({"preset": "constant", "boundary_data": {"case": "sinusodal"}}, "case 'sinusodal'"),
+    ({"preset": "disk-0.6", "conductivity": {"variant": "scene", "background": 10.0, "shapes": [
+        {"kind": "disk", "cx": 0.6, "cy": 0.0, "r2": 0.2, "value": 100.0, "vaule": 5}]}},
+     "keys ['vaule']"),
+    ({"preset": "constant", "conductivity": {**PIECEWISE, "samples": [
+        {"chi": 0.0, "ys": [-0.5, 0.0, 0.5], "sigmas": [2.0, 3.0]}]}},
+     "malformed piecewise conductivity spec: ValueError('3 ys for 2 sigmas')"),
+    ({"preset": "constant", "conductivity": {**PIECEWISE, "samples": [
+        {"chi": "a", "ys": [-0.5, 0.5], "sigmas": [2.0, 3.0]}]}},
+     "malformed piecewise conductivity spec"),
+    ({"preset": "constant", "conductivity": {**PIECEWISE, "samples": [
+        {"chi": 0.0, "ys": [-0.5, "a"], "sigmas": [2.0, 3.0]}]}},
+     "malformed piecewise conductivity spec"),
+], ids=["conductivity-key", "boundary-key", "boundary-case", "shape-key", "sample-lengths",
+        "sample-chi", "sample-ys"])
+def test_misspelled_or_malformed_nested_spec_exits_2(tmp_path, capsys, spec, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**spec, "N": 5, "S": 60, "Q": 100}))
+    for command in ("solve", "verify"):
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid input" in err and message in err
         assert "Traceback" not in err
 
 

@@ -380,6 +380,16 @@ def test_fg_integral_matches_complex_kernel_on_a_ray_slice():
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), (rule, name)
 
 
+@pytest.mark.parametrize("rule", ["cubic", "trapezoid"])
+def test_fg_integral_rejects_a_non_finite_result(rule):
+    # a NaN integrand at step 1 spoils its whole quadrature chunk, which starts at step 1
+    mesh = radial_mesh(16, 60)
+    W = np.ones(mesh.nodes.shape, complex)
+    W[5, 1] = np.nan
+    with pytest.raises(NumericalError, match="degree 1, ray 5, step 1$"):
+        fg_integral(W, unit_pair(mesh), mesh, rule=rule)
+
+
 def test_cumulative_rules_reject_unknown():
     mesh = radial_mesh(6, 50)
     with pytest.raises(ValidationError):
