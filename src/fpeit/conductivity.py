@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,6 +40,11 @@ def _as_float_arrays(x, y):
     if x.shape != y.shape:
         raise ValidationError(f"x and y shapes differ: {x.shape} vs {y.shape}")
     return x, y
+
+
+def finite(value, kind=numbers.Real) -> bool:
+    """True for a finite ``kind`` that is not a bool (JSON true and false load as ints)."""
+    return not isinstance(value, bool) and isinstance(value, kind) and math.isfinite(value)
 
 
 class ConductivityField:
@@ -291,6 +297,9 @@ class DiskShape:
     def contains(self, x, y):
         return (x - self.cx) ** 2 + (y - self.cy) ** 2 <= self.r2
 
+    def empty(self):
+        return self.r2 <= 0
+
 
 @dataclass(frozen=True)
 class AnnulusShape:
@@ -304,6 +313,9 @@ class AnnulusShape:
         d2 = (x - self.cx) ** 2 + (y - self.cy) ** 2
         return (d2 >= self.r2_inner) & (d2 <= self.r2_outer)
 
+    def empty(self):
+        return self.r2_outer <= max(self.r2_inner, 0.0)
+
 
 @dataclass(frozen=True)
 class PolygonShape:
@@ -316,6 +328,12 @@ class PolygonShape:
     def corner_angles(self):
         """Polar angles of the vertices, for corner-crossing ray placement."""
         return tuple(math.atan2(vy, vx) % (2 * math.pi) for vx, vy in self.vertices)
+
+    def empty(self):
+        # fewer than 3 vertices, or all on one line, enclose nothing (a bow-tie does)
+        v = np.array(self.vertices)
+        return len(v) < 3 or (np.linalg.svd(v - v.mean(axis=0), compute_uv=False)[-1]
+                              <= 1e-12 * np.abs(v).max())
 
 
 def _polygon_contains(vertices, x, y):
@@ -349,8 +367,8 @@ class GeometricScene(ConductivityField):
     variant = "scene"
 
     def __init__(self, background: float, shapes: Sequence, bounds=None):
-        if not (background > 0 and math.isfinite(background)):
-            raise ValidationError(f"background conductivity must be positive, got {background!r}")
+        if not (finite(background) and background > 0):
+            raise ValidationError(f"scene background must be a finite number > 0, got {background!r}")
         for sh in shapes:
             if not (sh.value > 0 and math.isfinite(sh.value)):
                 raise ValidationError(f"shape value must be positive, got {sh.value!r}")
@@ -380,42 +398,29 @@ def check_keys(spec: dict, allowed, where: str):
                               f"known: {', '.join(allowed)}")
 
 
-# the keys each scene shape kind reads beside "kind"
-SHAPE_KEYS = {"disk": ("cx", "cy", "r2", "value"),
-              "annulus": ("cx", "cy", "r2_inner", "r2_outer", "value"),
-              "polygon": ("vertices", "value")}
+# a scene shape spec holds "kind" and the fields of its kind's dataclass
+SHAPE_KINDS = {"disk": DiskShape, "annulus": AnnulusShape, "polygon": PolygonShape}
 
 
 def _shape_from_dict(s: dict):
-    """One shape of a scene fragment; its geometry must be finite and enclose some area,
-    and it may hold no key its kind does not read."""
+    """One shape of a scene fragment: its fields are finite numbers (a polygon's vertices
+    pairs of them), it encloses some area and it holds no other key."""
     kind = s["kind"]
-    if kind == "disk":
-        shape = DiskShape(float(s["cx"]), float(s["cy"]), float(s["r2"]), float(s["value"]))
-        geometry, empty = (shape.cx, shape.cy, shape.r2), shape.r2 <= 0
-    elif kind == "annulus":
-        shape = AnnulusShape(float(s["cx"]), float(s["cy"]), float(s["r2_inner"]),
-                             float(s["r2_outer"]), float(s["value"]))
-        geometry = (shape.cx, shape.cy, shape.r2_inner, shape.r2_outer)
-        empty = shape.r2_outer <= max(shape.r2_inner, 0.0)
-    elif kind == "polygon":
-        shape = PolygonShape(tuple((float(vx), float(vy)) for vx, vy in s["vertices"]),
-                             float(s["value"]))
-        if len(shape.vertices) < 3:
-            raise ValidationError("polygon needs at least 3 vertices")
-        v = np.array(shape.vertices)
-        # vertices on one line, coincident ones included, enclose nothing (a bow-tie does);
-        # non-finite ones are reported below
-        empty = np.isfinite(v).all() and (np.linalg.svd(v - v.mean(axis=0), compute_uv=False)[-1]
-                                           <= 1e-12 * np.abs(v).max())
-        geometry = v.ravel()
-    else:
+    if kind not in SHAPE_KINDS:
         raise ValidationError(f"unknown shape kind {kind!r}")
-    if not all(map(math.isfinite, geometry)):
-        raise ValidationError(f"scene conductivity {kind} has non-finite geometry: {s!r}")
-    if empty:
-        raise ValidationError(f"scene conductivity {kind} encloses no area: {s!r}")
-    check_keys(s, ("kind", *SHAPE_KEYS[kind]), f"scene conductivity {kind}")
+    where, names = f"scene conductivity {kind}", [f.name for f in fields(SHAPE_KINDS[kind])]
+    check_keys(s, ("kind", *names), where)
+
+    def number(name, value):
+        if not finite(value):
+            raise ValidationError(f"{where} {name} must be a finite number, got {value!r}")
+        return float(value)
+
+    shape = SHAPE_KINDS[kind](**{
+        name: tuple((number(name, vx), number(name, vy)) for vx, vy in s[name])
+        if name == "vertices" else number(name, s[name]) for name in names})
+    if shape.empty():
+        raise ValidationError(f"{where} encloses no area: {s!r}")
     return shape
 
 
@@ -431,7 +436,7 @@ def scene_from_dict(d: dict) -> GeometricScene:
     ``r2_outer``; polygons carry ``vertices`` as a list of [x, y] pairs.
     """
     try:
-        background = float(d["background"])
+        background = d["background"]
         shapes = [_shape_from_dict(s) for s in d.get("shapes", [])]
     except ValidationError:
         raise

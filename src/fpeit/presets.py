@@ -19,16 +19,17 @@ from .conductivity import (
     GeometricScene,
     LimitCase,
     build_piecewise,
-    sample_piecewise,
     check_keys,
     constant_field,
+    finite,
     load_conductivity_csv,
     radial_rings_field,
     read_float_csv,
+    sample_piecewise,
     scene_from_dict,
 )
 from .errors import ValidationError
-from .verification import ExactCase, constant_case, lorentzian_case, shifted_cubic, sinusoidal_case
+from .verification import ExactCase, constant_case, lorentzian_case, sinusoidal_case
 
 TRIANGLE_VERTICES = tuple(
     (r * math.cos(a), r * math.sin(a))
@@ -42,20 +43,6 @@ DEFAULT_THRESHOLDS = {
     "successor_mesh_ratio": 1.2,
     "successor_cartesian": 1e-6,
     "residual_floor": 1e-10,     # below this a residual is rounding noise, no ratio asked
-}
-
-# the keys that each kind of conductivity and boundary_data spec reads beside its
-# selector (variant, case or expression), by selector and name; {"csv": path} has none
-SPEC_KEYS = {
-    "conductivity": {"variant": {
-        "constant": ("value",), "sinusoidal": ("omega",), "lorentzian": ("beta",),
-        "radial-rings": (), "scene": ("background", "shapes"), "csv": ("path",),
-        "piecewise": ("samples", "edges", "K", "interpolant"),
-        "piecewise-of": ("source", "M", "q", "K", "interpolant"), "limit-of": ("source",)}},
-    "boundary_data": {
-        "case": {"sinusoidal": ("omega",), "lorentzian": ("beta",), "constant": ()},
-        "expression": {"shifted-cubic": ("beta",), "harmonic-quadratic": ()},
-        "csv": None},
 }
 
 
@@ -84,11 +71,11 @@ class RunConfig:
     def validate(self):
         for key in ("N", "P", "S", "Q"):
             value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not finite(value, numbers.Integral):
                 raise ValidationError(f"{key} must be an integer, got {value!r}")
         for key in ("rim_grading", "fd_h", "drop_tol"):
             value = getattr(self, key)
-            if not _finite(value) or value <= 0:
+            if not finite(value) or value <= 0:
                 raise ValidationError(f"{key} must be a finite number > 0, got {value!r}")
         for key in ("dense_error", "interior", "dump_powers", "corner_snap"):
             if not isinstance(getattr(self, key), bool):
@@ -97,7 +84,7 @@ class RunConfig:
             raise ValidationError(f"thresholds must map keys of {sorted(DEFAULT_THRESHOLDS)} "
                                   f"to numbers, got {self.thresholds!r}")
         for key, value in self.thresholds.items():
-            if not _finite(value):
+            if not finite(value):
                 raise ValidationError(f"thresholds {key} must be a finite number, got {value!r}")
         for key, allowed in (("rule", ("cubic", "trapezoid")),
                              ("fit_quadrature", ("nodes", "dense"))):
@@ -117,10 +104,7 @@ class RunConfig:
                 raise ValidationError(f"{key} must be a JSON object, got {spec!r}")
             if not spec:
                 raise ValidationError(f"config is missing the {key} spec")
-            _check_spec_keys(key, spec)
-            for name in ("omega", "beta", "value"):
-                if name in spec:
-                    _parameter(spec, name, None, where=key)
+            resolve_spec(key, spec)
         return self
 
     def to_dict(self) -> dict:
@@ -215,72 +199,14 @@ def load_config(path) -> RunConfig:
     return config_from_dict(doc)
 
 
-def _check_spec_keys(key: str, spec: dict):
-    """Raise unless the ``key`` spec names a known kind and holds only keys it reads:
-    a misspelled key would otherwise be ignored and its default used."""
-    kinds = SPEC_KEYS[key]
-    selector = next((s for s in kinds if s in spec), next(iter(kinds)))
-    names, name = kinds[selector], spec.get(selector)
-    if names is None:
-        allowed, where = (), f"{key} {selector}"
-    elif isinstance(name, str) and name in names:
-        allowed, where = names[name], f"{key} {selector} {name!r}"
-    else:
-        raise ValidationError(f"unknown {key} {selector} {name!r}; known: {', '.join(names)}")
-    check_keys(spec, (selector, *allowed), where)
-
-
-def _finite(value, kind=numbers.Real) -> bool:
-    """True for a finite ``kind`` that is not a bool (JSON true and false load as ints)."""
-    return not isinstance(value, bool) and isinstance(value, kind) and math.isfinite(value)
-
-
-def _parameter(spec: dict, key: str, default, kind=numbers.Real, where: str = "slab"):
-    """Parameter ``key`` of a ``where`` spec, a finite ``kind`` that is not a bool."""
-    value = spec.get(key, default)
-    if not _finite(value, kind):
-        noun = "integer" if kind is numbers.Integral else "number"
-        raise ValidationError(f"{where} parameter {key} must be a finite {noun}, got {value!r}")
-    return value
-
-
-def build_field(config: RunConfig) -> ConductivityField:
-    """Instantiate the conductivity field described by the config."""
-    spec = dict(config.conductivity)
-    variant = spec.pop("variant", None)
-    if variant == "constant":
-        return constant_field(spec.get("value", 1.0))
-    if variant == "sinusoidal":
-        return sinusoidal_case(spec.get("omega", math.pi)).field
-    if variant == "lorentzian":
-        return lorentzian_case(spec.get("beta", 0.0)).field
-    if variant == "radial-rings":
-        return radial_rings_field()
-    if variant == "scene":
-        return scene_from_dict(spec)
-    if variant == "csv":
-        if "path" not in spec:
-            raise ValidationError("conductivity variant 'csv' needs a 'path'")
-        return load_conductivity_csv(spec["path"])
-    if variant == "piecewise":
-        try:
-            samples = [_slab_sample(s) for s in spec["samples"]]
-            return build_piecewise(samples, spec["edges"], K=_parameter(spec, "K", 2.0),
-                                   interpolant=spec.get("interpolant", "linear"))
-        except ValidationError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed piecewise conductivity spec: {exc!r}") from exc
-    if variant in ("piecewise-of", "limit-of"):
-        src = build_field(config_from_dict({"conductivity": spec.get("source", {}),
-                                            "boundary_data": {"case": "constant"}}))
-        if variant == "limit-of":
-            return LimitCase(src.evaluate, bounds=src.bounds)
-        return sample_piecewise(src.evaluate, M=_parameter(spec, "M", 16, numbers.Integral),
-                                q=_parameter(spec, "q", 16, numbers.Integral),
-                                K=_parameter(spec, "K", 2.0),
-                                interpolant=spec.get("interpolant", "linear"))
-    raise ValidationError(f"unknown conductivity variant {variant!r}")
+def _piecewise(samples, edges, K, interpolant) -> ConductivityField:
+    try:
+        return build_piecewise([_slab_sample(s) for s in samples], edges, K=K,
+                               interpolant=interpolant)
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed piecewise conductivity spec: {exc!r}") from exc
 
 
 def _slab_sample(s: dict) -> tuple:
@@ -291,54 +217,112 @@ def _slab_sample(s: dict) -> tuple:
     ys, sigmas = list(s["ys"]), list(s["sigmas"])
     if len(ys) != len(sigmas):
         raise ValueError(f"{len(ys)} ys for {len(sigmas)} sigmas")
-    if not all(map(_finite, [s["chi"], *ys, *sigmas])):
+    if not all(map(finite, [s["chi"], *ys, *sigmas])):
         raise ValueError(f"a sample entry is not a finite number: {s!r}")
     return s["chi"], list(zip(ys, sigmas))
 
 
+def _source_field(source) -> ConductivityField:
+    """The field of the nested conductivity spec of piecewise-of and limit-of."""
+    return build_field(config_from_dict({"conductivity": source,
+                                         "boundary_data": {"case": "constant"}}))
+
+
+def _limit_of(source) -> LimitCase:
+    src = _source_field(source)
+    return LimitCase(src.evaluate, bounds=src.bounds)
+
+
+def _boundary_from_csv(csv):
+    th, vals = read_float_csv(csv, ("theta", "u"), "boundary").T
+    if len(th) < 2:
+        raise ValidationError("boundary CSV needs at least two samples")
+    if not (np.isfinite(th).all() and np.isfinite(vals).all()):
+        raise ValidationError(f"boundary CSV {csv!r} holds a non-finite theta or u")
+    if np.any(np.diff(np.sort(np.mod(th, 2 * math.pi))) == 0):
+        raise ValidationError(f"boundary CSV {csv!r} repeats an angle modulo 2*pi")
+    from .boundary_solver import upsample_periodic_linear
+
+    return lambda q: upsample_periodic_linear(th, vals, q)
+
+
+# parameters that a conductivity and its exact boundary data share, and the slab ones
+_OMEGA, _BETA, _SLAB = {"omega": math.pi}, {"beta": 0.0}, {"K": 2.0, "interpolant": "linear"}
+
+# spec -> selector -> name -> (builder, {parameter: default}); the builder takes the
+# parameters as keywords. A float default makes its parameter a finite number, an int
+# default an integer (never a bool), and None makes it required. The boundary "csv"
+# selector holds the file name itself, so it has a single entry and no names.
+SPECS = {
+    "conductivity": {"variant": {
+        "constant": (constant_field, {"value": 1.0}),
+        "sinusoidal": (lambda omega: sinusoidal_case(omega).field, _OMEGA),
+        "lorentzian": (lambda beta: lorentzian_case(beta).field, _BETA),
+        "radial-rings": (radial_rings_field, {}),
+        "scene": (lambda **scene: scene_from_dict(scene), {"background": None, "shapes": ()}),
+        "csv": (load_conductivity_csv, {"path": None}),
+        "piecewise": (_piecewise, {"samples": None, "edges": None, **_SLAB}),
+        "piecewise-of": (lambda source, **slab: sample_piecewise(_source_field(source).evaluate,
+                                                                 **slab),
+                         {"source": None, "M": 16, "q": 16, **_SLAB}),
+        "limit-of": (_limit_of, {"source": None})}},
+    "boundary_data": {
+        "case": {"sinusoidal": (sinusoidal_case, _OMEGA), "lorentzian": (lorentzian_case, _BETA),
+                 "constant": (constant_case, {})},
+        "expression": {  # ((x-b)^3+y^3)/3 + 0.1(x-b+y) and x^2 - y^2 on the circle
+            "shifted-cubic": (lambda beta: lorentzian_case(beta).boundary_data, _BETA),
+            "harmonic-quadratic": (lambda: lambda th: np.cos(2 * np.asarray(th, float)), {})},
+        "csv": (_boundary_from_csv, {"csv": None})},
+}
+
+
+def resolve_spec(key: str, spec: dict):
+    """(selector, builder, parameters) of the ``key`` spec, its defaults filled in from SPECS.
+
+    Raises ValidationError on an unknown kind or key (a misspelled key would otherwise
+    run with its default), on a parameter that is not the finite number or integer its
+    default is, and on a missing required parameter. Builds nothing.
+    """
+    selectors = SPECS[key]
+    selector = next((s for s in selectors if s in spec), next(iter(selectors)))
+    entry, name, where = selectors[selector], spec.get(selector), f"{key} {selector}"
+    if isinstance(entry, dict):
+        if not (isinstance(name, str) and name in entry):
+            raise ValidationError(f"unknown {where} {name!r}; known: {', '.join(entry)}")
+        entry, where = entry[name], f"{where} {name!r}"
+    builder, defaults = entry
+    check_keys(spec, dict.fromkeys((selector, *defaults)), where)
+    params = {k: spec.get(k, default) for k, default in defaults.items()}
+    for k, default in defaults.items():
+        if isinstance(default, (int, float)):
+            kind, noun = ((numbers.Integral, "integer") if isinstance(default, int)
+                          else (numbers.Real, "number"))
+            if not finite(params[k], kind):
+                raise ValidationError(f"{where} parameter {k} must be a finite {noun}, "
+                                      f"got {params[k]!r}")
+    missing = [k for k, value in params.items() if value is None]
+    if missing:
+        raise ValidationError(f"{where} needs a {missing[0]!r}")
+    return selector, builder, params
+
+
+def build_field(config: RunConfig) -> ConductivityField:
+    """Instantiate the conductivity field described by the config."""
+    _, builder, params = resolve_spec("conductivity", config.conductivity)
+    return builder(**params)
+
+
 def exact_case_for(config: RunConfig) -> ExactCase | None:
     """The exact case named by the boundary-data spec, when there is one."""
-    spec = config.boundary_data
-    case = spec.get("case")
-    if case == "sinusoidal":
-        return sinusoidal_case(spec.get("omega", math.pi))
-    if case == "lorentzian":
-        return lorentzian_case(spec.get("beta", 0.0))
-    if case == "constant":
-        return constant_case()
-    return None
+    selector, builder, params = resolve_spec("boundary_data", config.boundary_data)
+    return builder(**params) if selector == "case" else None
 
 
 def build_boundary_data(config: RunConfig):
     """Boundary data as a function of theta (radians on the unit circle)."""
-    spec = dict(config.boundary_data)
-    case = exact_case_for(config)
-    if case is not None:
-        return case.boundary_data
-    if "expression" in spec:
-        name = spec["expression"]
-        if name == "shifted-cubic":
-            u = shifted_cubic(spec.get("beta", 0.0))
-            return lambda th: u(np.cos(th), np.sin(th))
-        if name == "harmonic-quadratic":
-            return lambda th: np.cos(2 * np.asarray(th, float))
-        raise ValidationError(f"unknown boundary expression {name!r}")
-    if "csv" in spec:
-        return _boundary_from_csv(spec["csv"])
-    raise ValidationError(f"cannot interpret boundary data spec {spec!r}")
-
-
-def _boundary_from_csv(path):
-    th, vals = read_float_csv(path, ("theta", "u"), "boundary").T
-    if len(th) < 2:
-        raise ValidationError("boundary CSV needs at least two samples")
-    if not (np.isfinite(th).all() and np.isfinite(vals).all()):
-        raise ValidationError(f"boundary CSV {path!r} holds a non-finite theta or u")
-    if np.any(np.diff(np.sort(np.mod(th, 2 * math.pi))) == 0):
-        raise ValidationError(f"boundary CSV {path!r} repeats an angle modulo 2*pi")
-    from .boundary_solver import upsample_periodic_linear
-
-    return lambda q: upsample_periodic_linear(th, vals, q)
+    selector, builder, params = resolve_spec("boundary_data", config.boundary_data)
+    data = builder(**params)
+    return data.boundary_data if selector == "case" else data
 
 
 def corner_angles_for(config: RunConfig, field: ConductivityField):

@@ -12,7 +12,7 @@ import pytest
 from fpeit import _entry
 from fpeit._entry import _peek_threads
 from fpeit.cli import main, run_solve, run_verify
-from fpeit.conductivity import SHAPE_KEYS
+from fpeit.conductivity import SHAPE_KINDS
 from fpeit.errors import ValidationError
 from fpeit.presets import (
     DEFAULT_THRESHOLDS,
@@ -53,7 +53,7 @@ def scene_with(**shape):
     """A one-shape scene conductivity: a disk unless ``shape`` says otherwise, without
     the disk keys that the shape's kind does not read."""
     shape = {"kind": "disk", "cx": 0.0, "cy": 0.0, "r2": 0.2, "value": 100.0, **shape}
-    keys = ("kind", *SHAPE_KEYS[shape["kind"]])
+    keys = ("kind", *SHAPE_KINDS[shape["kind"]].__dataclass_fields__)
     return {"variant": "scene", "background": 10.0,
             "shapes": [{k: v for k, v in shape.items() if k in keys}]}
 
