@@ -163,6 +163,15 @@ class SolveResult:
     timings: dict
 
 
+def _boundary_samples(data_fn, theta: np.ndarray) -> np.ndarray:
+    """The boundary data at ``theta``, which must be finite: else the fit and E are NaN."""
+    data = np.asarray(data_fn(theta), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(data))
+    if len(bad):
+        raise ValidationError(f"boundary data is not finite at theta = {theta[bad[0]]:.17g}")
+    return data
+
+
 def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 35,
                     S: int = 400, Q: int = 1000, dense_error: bool = True,
                     rule: str = "cubic", rim_grading: float = 1.0,
@@ -206,12 +215,12 @@ def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 
 
     t1 = time.monotonic()
     basis = orthonormalize(system, drop_tol=drop_tol)
-    data_P = np.asarray(data_fn(mesh.theta), dtype=float)
+    data_P = _boundary_samples(data_fn, mesh.theta)
     b, fitted = fit_coefficients(basis, data_P)
     timings["fit"] = time.monotonic() - t1
 
     theta_q = 2.0 * math.pi * np.arange(Q) / Q
-    data_q = np.asarray(data_fn(theta_q), dtype=float)
+    data_q = _boundary_samples(data_fn, theta_q)
     t2 = time.monotonic()
     if dense_error:
         mesh_q = radial_mesh(Q, S, rim_grading=rim_grading)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .boundary_solver import error_norm, reconstruct_interior, solve_dirichlet
-from .errors import DomainError, NumericalError, ValidationError
+from .errors import DomainError, ValidationError
 from .formal_powers import build_table, pseudoanalyticity_check, rows, write_csv, write_powers_csv
 from .presets import (
     DEFAULT_THRESHOLDS,
@@ -285,7 +285,7 @@ def main(argv=None) -> int:
     except (ValidationError, DomainError) as exc:
         print(f"fpeit: invalid input: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, FloatingPointError) as exc:
+    except ArithmeticError as exc:  # NumericalError, FloatingPointError, OverflowError
         print(f"fpeit: numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -403,8 +403,7 @@ SHAPE_KINDS = {"disk": DiskShape, "annulus": AnnulusShape, "polygon": PolygonSha
 
 
 def _shape_from_dict(s: dict):
-    """One shape of a scene fragment: its fields are finite numbers (a polygon's vertices
-    pairs of them), it encloses some area and it holds no other key."""
+    """One scene shape: finite numbers in the fields of its kind, enclosing some area."""
     kind = s["kind"]
     if kind not in SHAPE_KINDS:
         raise ValidationError(f"unknown shape kind {kind!r}")

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
+from .boundary_solver import upsample_periodic_linear
 from .conductivity import (
     ConductivityField,
     GeometricScene,
@@ -201,8 +202,7 @@ def load_config(path) -> RunConfig:
 
 def _piecewise(samples, edges, K, interpolant) -> ConductivityField:
     try:
-        return build_piecewise([_slab_sample(s) for s in samples], edges, K=K,
-                               interpolant=interpolant)
+        return build_piecewise([_slab_sample(s) for s in samples], edges, K, interpolant)
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -241,8 +241,6 @@ def _boundary_from_csv(csv):
         raise ValidationError(f"boundary CSV {csv!r} holds a non-finite theta or u")
     if np.any(np.diff(np.sort(np.mod(th, 2 * math.pi))) == 0):
         raise ValidationError(f"boundary CSV {csv!r} repeats an angle modulo 2*pi")
-    from .boundary_solver import upsample_periodic_linear
-
     return lambda q: upsample_periodic_linear(th, vals, q)
 
 
@@ -262,8 +260,8 @@ SPECS = {
         "scene": (lambda **scene: scene_from_dict(scene), {"background": None, "shapes": ()}),
         "csv": (load_conductivity_csv, {"path": None}),
         "piecewise": (_piecewise, {"samples": None, "edges": None, **_SLAB}),
-        "piecewise-of": (lambda source, **slab: sample_piecewise(_source_field(source).evaluate,
-                                                                 **slab),
+        "piecewise-of": (lambda source, **slab:
+                         sample_piecewise(_source_field(source).evaluate, **slab),
                          {"source": None, "M": 16, "q": 16, **_SLAB}),
         "limit-of": (_limit_of, {"source": None})}},
     "boundary_data": {

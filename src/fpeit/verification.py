@@ -106,7 +106,10 @@ def lorentzian_case(beta: float) -> ExactCase:
         ys = _f(y)
         return (xs ** 3 + ys ** 3) / 3.0 + 0.1 * (xs + ys)
 
-    lo = 1.0 / (((1.0 + abs(beta)) ** 2 + 0.1) * 1.1)
+    try:
+        lo = 1.0 / (((1.0 + abs(beta)) ** 2 + 0.1) * 1.1)
+    except OverflowError as exc:
+        raise ValidationError(f"lorentzian beta {beta!r} overflows (1 + |beta|)**2") from exc
     return ExactCase(name=f"lorentzian(beta={beta:g})",
                      field=AnalyticSeparable(sigma1, sigma2, bounds=(lo, 100.0)),
                      u=u, sigma=lambda x, y: sigma1(x) * sigma2(y))

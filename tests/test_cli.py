@@ -421,6 +421,36 @@ def test_bad_slab_parameters_exit_2(tmp_path, capsys, variant, bad):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec, commands", [
+    ({"conductivity": {"variant": "lorentzian", "beta": 1e308}}, ("solve", "verify")),
+    ({"boundary_data": {"case": "lorentzian", "beta": 1e308}}, ("solve", "verify")),
+    # verify never evaluates boundary data that is not an exact case
+    ({"boundary_data": {"expression": "shifted-cubic", "beta": 1e308}}, ("solve",)),
+], ids=["variant", "case", "expression"])
+def test_overflowing_beta_exits_2(tmp_path, capsys, spec, commands):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"preset": "constant", "N": 2, "P": 6, "S": 50, "Q": 12,
+                                    **spec}))
+    for command in commands:
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid input: lorentzian beta 1e+308 overflows" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("preset", ["triangle", "constant"], ids=["dense-fit", "node-fit"])
+def test_non_finite_boundary_data_exits_2(tmp_path, capsys, preset):
+    # (x - 1e120)^3 overflows to -inf at every boundary point
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"preset": preset, "N": 4, "P": 24, "S": 60, "Q": 100,
+                                    "boundary_data": {"expression": "shifted-cubic",
+                                                      "beta": 1e120}}))
+    with np.errstate(over="ignore"):
+        assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "invalid input: boundary data is not finite at theta = 0\n" in err
+
+
 PIECEWISE = {"variant": "piecewise", "edges": [-1.0, 1.0]}
 
 
