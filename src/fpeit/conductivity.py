@@ -368,7 +368,7 @@ class GeometricScene(ConductivityField):
 
     def __init__(self, background: float, shapes: Sequence, bounds=None):
         if not (finite(background) and background > 0):
-            raise ValidationError(f"scene background must be a finite number > 0, got {background!r}")
+            raise ValidationError(f"background must be a finite number > 0, got {background!r}")
         for sh in shapes:
             if not (sh.value > 0 and math.isfinite(sh.value)):
                 raise ValidationError(f"shape value must be positive, got {sh.value!r}")
