@@ -164,8 +164,11 @@ class SolveResult:
 
 
 def _boundary_samples(data_fn, theta: np.ndarray) -> np.ndarray:
-    """The boundary data at ``theta``, which must be finite: else the fit and E are NaN."""
-    data = np.asarray(data_fn(theta), dtype=float)
+    """The boundary data at ``theta``, which must be finite: else the fit and E are NaN.
+
+    An overflow in ``data_fn`` is reported by this check, not by numpy's warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = np.asarray(data_fn(theta), dtype=float)
     bad = np.flatnonzero(~np.isfinite(data))
     if len(bad):
         raise ValidationError(f"boundary data is not finite at theta = {theta[bad[0]]:.17g}")
@@ -210,17 +213,18 @@ def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 
     timings: dict[str, float] = {}
     t0 = time.monotonic()
     mesh = radial_mesh(P, S, rim_grading=rim_grading, corner_angles=corner_angles)
+    # bad data is rejected before any formal power is built
+    data_P = _boundary_samples(data_fn, mesh.theta)
+    theta_q = 2.0 * math.pi * np.arange(Q) / Q
+    data_q = _boundary_samples(data_fn, theta_q)
     system = rim_traces(field, mesh, N, rule=rule)
     timings["build"] = time.monotonic() - t0
 
     t1 = time.monotonic()
     basis = orthonormalize(system, drop_tol=drop_tol)
-    data_P = _boundary_samples(data_fn, mesh.theta)
     b, fitted = fit_coefficients(basis, data_P)
     timings["fit"] = time.monotonic() - t1
 
-    theta_q = 2.0 * math.pi * np.arange(Q) / Q
-    data_q = _boundary_samples(data_fn, theta_q)
     t2 = time.monotonic()
     if dense_error:
         mesh_q = radial_mesh(Q, S, rim_grading=rim_grading)

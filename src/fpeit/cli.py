@@ -149,6 +149,7 @@ def run_verify(config: RunConfig, out_dir) -> int:
     thresholds.update(config.thresholds)
     floor = thresholds["residual_floor"]
     field = build_field(config)
+    build_boundary_data(config)  # no oracle reads it, but verify rejects what solve rejects
     case = exact_case_for(config)
     smooth = case is not None
 
@@ -179,8 +180,7 @@ def run_verify(config: RunConfig, out_dir) -> int:
     meshes = [radial_mesh(P1, S1, rim_grading=config.rim_grading),
               radial_mesh(2 * P1, 2 * S1, rim_grading=config.rim_grading)]
     seqs = [build_sequence(field, m) for m in meshes]
-    vekua = [pseudoanalyticity_check(build_table(sq, m, Nv, rule=config.rule), sq.pair_for(0).p)
-             for m, sq in zip(meshes, seqs)]
+    vekua = [pseudoanalyticity_check(sq, m, Nv, rule=config.rule) for m, sq in zip(meshes, seqs)]
     succ_mesh = [successor_residual_mesh(sq, m) for m, sq in zip(meshes, seqs)]
 
     limit_gap = limit_construction(field)

@@ -33,8 +33,10 @@ from degree N down (``fitted_field``).
 The solver reads only the boundary traces (``rim_traces``) and the fitted
 combination (``fitted_field``). Both take the conductivity field: a worker
 builds each ray block's nodes, sequence and chains (``_over_ray_blocks``).
-The full table (``build_table``) is built only for the ``powers.csv`` dump
-and the ``verify`` residuals, which read every entry.
+The full table (``build_table``) is built only for the ``powers.csv`` dump,
+which writes every entry. The ``verify`` Vekua residuals
+(``pseudoanalyticity_check``) run the chains themselves and check each
+degree as it is produced, so they build no table either.
 """
 
 from __future__ import annotations
@@ -89,9 +91,16 @@ def _power_tables(seq: GeneratingSequence, mesh: RadialMesh, N: int, seeds,
     out = np.empty((len(seeds), N + 1, mesh.ray_count, mesh.step_count + 1), dtype=complex)
     p = seq.pair_for(0).p
     for d, A, B in _Chains([pair.p for pair in seq.pairs], mesh, seeds, rule).powers(N):
-        # write along the table's contiguous steps axis; read the steps-first state transposed
-        np.multiply(A.transpose(1, 2, 0), p, out=out[:, d].real)
-        np.divide(B.transpose(1, 2, 0), p, out=out[:, d].imag)
+        _pair_zero_powers(A, B, p, out[:, d])
+    return out
+
+
+def _pair_zero_powers(A, B, p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write Z = p A + i B / p of every seed into ``out`` (seeds, P, S+1) and return it,
+    from the steps-first (S+1, seeds, P) A and B of ``_Chains.powers`` at a pair-0 degree."""
+    # write along the contiguous steps axis; read the steps-first state transposed
+    np.multiply(A.transpose(1, 2, 0), p, out=out.real)
+    np.divide(B.transpose(1, 2, 0), p, out=out.imag)
     return out
 
 
@@ -195,15 +204,20 @@ def fitted_field(field: ConductivityField, mesh: RadialMesh, N: int, a, rule: st
     return out
 
 
-def pseudoanalyticity_check(table: FormalPowerTable, p: np.ndarray) -> np.ndarray:
-    """Max interior Vekua residual of each degree (both seeds).
+def pseudoanalyticity_check(seq: GeneratingSequence, mesh: RadialMesh, N: int,
+                            rule: str = "cubic") -> np.ndarray:
+    """Max interior Vekua residual of each degree 0..N (both seeds), with the pair-0 b.
 
-    ``p`` is the pair-0 field sqrt-of-conductivity sampled on the mesh.
+    The chains of seeds 1 and i run here, and each degree is checked as it is
+    produced, in one (2, P, S+1) buffer reused across degrees: no table is built.
     """
-    residual = _vekua_operator(p, table.mesh)
-    out = np.empty(table.N + 1)
-    for n in range(table.N + 1):
-        out[n] = float(np.nanmax(np.fmax(residual(table.Z1[n]), residual(table.Zi[n]))[:, 1:-1]))
+    p = seq.pair_for(0).p
+    residual = _vekua_operator(p, mesh)
+    Z = np.empty((2, mesh.ray_count, mesh.step_count + 1), dtype=complex)
+    out = np.empty(N + 1)
+    for d, A, B in _Chains([pair.p for pair in seq.pairs], mesh, (1.0, 1j), rule).powers(N):
+        Z1, Zi = _pair_zero_powers(A, B, p, Z)
+        out[d] = float(np.nanmax(np.fmax(residual(Z1), residual(Zi))[:, 1:-1]))
     return out
 
 

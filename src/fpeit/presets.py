@@ -279,7 +279,8 @@ def resolve_spec(key: str, spec: dict):
 
     Raises ValidationError on an unknown kind or key (a misspelled key would otherwise
     run with its default), on a parameter that is not the finite number or integer its
-    default is, and on a missing required parameter. Builds nothing.
+    default is, and on a missing required parameter. A ``source`` parameter must be a
+    conductivity spec, which is resolved in turn. Builds nothing.
     """
     selectors = SPECS[key]
     selector = next((s for s in selectors if s in spec), next(iter(selectors)))
@@ -301,6 +302,11 @@ def resolve_spec(key: str, spec: dict):
     missing = [k for k, value in params.items() if value is None]
     if missing:
         raise ValidationError(f"{where} needs a {missing[0]!r}")
+    if "source" in params:  # the nested conductivity of piecewise-of and limit-of
+        if not isinstance(params["source"], dict):
+            raise ValidationError(f"{where} source must be a JSON object, "
+                                  f"got {params['source']!r}")
+        resolve_spec("conductivity", params["source"])
     return selector, builder, params
 
 

@@ -5,11 +5,12 @@ import os
 import runpy
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from fpeit import _entry
+from fpeit import _entry, boundary_solver, cli
 from fpeit._entry import _peek_threads
 from fpeit.cli import main, run_solve, run_verify
 from fpeit.conductivity import SHAPE_KINDS
@@ -197,6 +198,15 @@ def test_verify_constant_passes(tmp_path):
     assert doc["checks"]["divergence"]["passed"] is True
 
 
+def test_verify_builds_no_formal_power_table(tmp_path, monkeypatch):
+    def table(*args, **kwargs):
+        raise AssertionError("verify built the formal-power table")
+
+    monkeypatch.setattr(cli, "build_table", table)
+    cfg = config_from_dict({"preset": "sinusoidal", "P": 24, "S": 60, "N": 4})
+    assert run_verify(cfg, tmp_path) == 0
+
+
 def test_verify_exits_2_when_the_divergence_check_keeps_no_point(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"preset": "constant", "fd_h": 0.5}))
@@ -335,13 +345,14 @@ def test_numeric_csv_path_exits_2_without_reading_stdin(tmp_path, spec, stdin):
     stdin_path = tmp_path / "stdin.csv"
     stdin_path.write_text(stdin)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    with open(stdin_path) as fh:
-        done = subprocess.run([sys.executable, "-m", "fpeit", "solve", "--config", str(cfg_path),
-                               "--out", str(tmp_path / "out")], stdin=fh, env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert os.lseek(fh.fileno(), 0, os.SEEK_CUR) == 0
-    assert done.returncode == 2
-    assert "CSV path must be a file name" in done.stderr
+    for command in ("solve", "verify"):
+        with open(stdin_path) as fh:
+            done = subprocess.run([sys.executable, "-m", "fpeit", command, "--config",
+                                   str(cfg_path), "--out", str(tmp_path / "out")], stdin=fh,
+                                  env=env, capture_output=True, text=True, timeout=60)
+            assert os.lseek(fh.fileno(), 0, os.SEEK_CUR) == 0
+        assert done.returncode == 2
+        assert "CSV path must be a file name" in done.stderr
 
 
 @pytest.mark.parametrize("tail, code", [("   \r\n", 0), ("0, ,2\r\n", 2)],
@@ -424,8 +435,7 @@ def test_bad_slab_parameters_exit_2(tmp_path, capsys, variant, bad):
 @pytest.mark.parametrize("spec, commands", [
     ({"conductivity": {"variant": "lorentzian", "beta": 1e308}}, ("solve", "verify")),
     ({"boundary_data": {"case": "lorentzian", "beta": 1e308}}, ("solve", "verify")),
-    # verify never evaluates boundary data that is not an exact case
-    ({"boundary_data": {"expression": "shifted-cubic", "beta": 1e308}}, ("solve",)),
+    ({"boundary_data": {"expression": "shifted-cubic", "beta": 1e308}}, ("solve", "verify")),
 ], ids=["variant", "case", "expression"])
 def test_overflowing_beta_exits_2(tmp_path, capsys, spec, commands):
     cfg_path = tmp_path / "cfg.json"
@@ -451,6 +461,23 @@ def test_non_finite_boundary_data_exits_2(tmp_path, capsys, preset):
     assert "invalid input: boundary data is not finite at theta = 0\n" in err
 
 
+@pytest.mark.parametrize("preset", ["triangle", "constant"], ids=["dense-fit", "node-fit"])
+def test_bad_boundary_data_exits_2_before_any_formal_power_and_without_a_warning(
+        tmp_path, capsys, monkeypatch, preset):
+    def traces(*args, **kwargs):
+        raise AssertionError("formal powers built for data that is then rejected")
+
+    monkeypatch.setattr(boundary_solver, "rim_traces", traces)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"preset": preset, "N": 4, "P": 24, "S": 60, "Q": 100,
+                                    "boundary_data": {"expression": "shifted-cubic",
+                                                      "beta": 1e120}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would raise here
+        assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert "invalid input: boundary data is not finite at theta = 0\n" in capsys.readouterr().err
+
+
 PIECEWISE = {"variant": "piecewise", "edges": [-1.0, 1.0]}
 
 
@@ -472,8 +499,13 @@ PIECEWISE = {"variant": "piecewise", "edges": [-1.0, 1.0]}
     ({"preset": "constant", "conductivity": {**PIECEWISE, "samples": [
         {"chi": 0.0, "ys": [-0.5, "a"], "sigmas": [2.0, 3.0]}]}},
      "malformed piecewise conductivity spec"),
-], ids=["conductivity-key", "boundary-key", "boundary-case", "shape-key", "sample-lengths",
-        "sample-chi", "sample-ys"])
+    *(({"preset": "lorentzian-1", "conductivity": {"variant": variant, "source": source}},
+       message) for variant in ("piecewise-of", "limit-of") for source, message in (
+        ({"variant": "lorentzian", "bta": 1}, "keys ['bta']"),
+        (5, f"variant '{variant}' source must be a JSON object, got 5")))],
+    ids=["conductivity-key", "boundary-key", "boundary-case", "shape-key", "sample-lengths",
+         "sample-chi", "sample-ys", "piecewise-of-source-key", "piecewise-of-source-number",
+         "limit-of-source-key", "limit-of-source-number"])
 def test_misspelled_or_malformed_nested_spec_exits_2(tmp_path, capsys, spec, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**spec, "N": 5, "S": 60, "Q": 100}))
@@ -482,6 +514,16 @@ def test_misspelled_or_malformed_nested_spec_exits_2(tmp_path, capsys, spec, mes
         err = capsys.readouterr().err
         assert "invalid input" in err and message in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("variant", ["piecewise-of", "limit-of"])
+@pytest.mark.parametrize("source", [{"variant": "lorentzian", "bta": 1}, 5, {}],
+                         ids=["misspelled-key", "number", "empty"])
+def test_nested_source_is_checked_with_the_config(variant, source):
+    # config_from_dict builds nothing, so this is the validation, not build_field
+    with pytest.raises(ValidationError):
+        config_from_dict({"preset": "lorentzian-1",
+                          "conductivity": {"variant": variant, "source": source}})
 
 
 def test_piecewise_of_and_limit_of_variants():

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from fpeit.formal_powers import (
     rows,
     write_powers_csv,
 )
+from fpeit.presets import build_field, config_from_dict
 from fpeit.pseudoanalytic import GeneratingPair, build_sequence, radial_mesh
 from fpeit.verification import sinusoidal_case
 from test_pseudoanalytic import reference_fg_integral
@@ -191,10 +193,25 @@ def test_pseudoanalyticity_residual_refines():
     for P, S in ((48, 100), (96, 200)):
         mesh = radial_mesh(P, S)
         seq = build_sequence(case.field, mesh)
-        table = build_table(seq, mesh, 5)
-        res = pseudoanalyticity_check(table, seq.pair_for(0).p)
+        res = pseudoanalyticity_check(seq, mesh, 5)
         maxima.append(res.max())
     assert maxima[1] < maxima[0] / 1.5
+
+
+def test_pseudoanalyticity_check_holds_no_table():
+    # the triangle's refined verify mesh; its seed-1 and seed-i table alone takes
+    # 2 (N+1) P (S+1) 16 bytes = 7.1 MB, and the table plus the check peaked at 12.6 MB
+    config = config_from_dict({"preset": "triangle"})
+    mesh = radial_mesh(2 * config.P, 2 * min(config.S, 100))
+    assert (mesh.ray_count, mesh.step_count + 1) == (122, 201)
+    seq = build_sequence(build_field(config), mesh)
+    tracemalloc.start()
+    try:
+        pseudoanalyticity_check(seq, mesh, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9e6
 
 
 def test_pseudoanalyticity_restricted_for_discontinuous_sigma():

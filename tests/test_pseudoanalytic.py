@@ -536,7 +536,7 @@ def test_verify_residuals_match_reference_loops(name):
     expected = [float(np.nanmax(np.fmax(*(np.abs(dzbar(Z[n]) - b * np.conj(Z[n]))
                                           for Z in (table.Z1, table.Zi)))[:, 1:-1]))
                 for n in range(table.N + 1)]
-    assert np.array_equal(pseudoanalyticity_check(table, p), expected)
+    assert np.array_equal(pseudoanalyticity_check(seq, mesh, 5), expected)
 
     def coefficients(pair):
         return _coefficients(pair.p, reference_mesh_gradient(pair.p, mesh),
@@ -559,8 +559,7 @@ def test_mesh_derivatives_are_built_once_per_check(monkeypatch):
     monkeypatch.setattr(pseudoanalytic, "_gradient_operator", counting)
     mesh = radial_mesh(16, 40)
     seq = build_sequence(sinusoidal_case(math.pi).field, mesh)
-    table = build_table(seq, mesh, 8)
-    pseudoanalyticity_check(table, seq.pair_for(0).p)
+    pseudoanalyticity_check(seq, mesh, 8)
     assert len(builds) == 1  # not 2(N+1)+1 = 19
     successor_residual_mesh(seq, mesh)
     assert len(builds) == 2  # one for both pairs
