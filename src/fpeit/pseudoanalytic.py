@@ -409,10 +409,8 @@ def _gradient_operator(mesh: RadialMesh):
     inverted through the numerically evaluated mesh Jacobian. The stencil
     weights and the Jacobian depend only on the mesh, so they are computed
     here once, as real arrays, and each call takes one difference pass over W
-    per parameter. A complex W is differentiated part by part, and there each
-    division by a real c is a product with 1/c: numpy divides a complex array
-    by c as by c + 0j, which scales both parts by 1/c, so the parts give the
-    values of complex arithmetic bit for bit. The center column (s = 0) is
+    per parameter; for a complex W numpy casts them in its buffered loops,
+    block by block, and holds no complex copy. The center column (s = 0) is
     singular and returned as NaN; the rim column uses one-sided differences in t.
     """
     t, th = mesh.t, mesh.theta
@@ -425,47 +423,31 @@ def _gradient_operator(mesh: RadialMesh):
     hp, hm = hp[:, None], np.roll(hp, 1)[:, None]  # the gaps after and before each ray
     q_next, q_prev, q_mid, q_den = hm ** 2, hp ** 2, hp ** 2 - hm ** 2, hp * hm * (hp + hm)
 
-    def over(a, c, part):  # a / c, as numpy takes it for a part of a complex array
-        return a * (1.0 / c) if part else a / c
-
-    def d_dt(f, part=False):
-        out = np.empty(f.shape)
-        out[:, 1:-1] = over(t_next * f[:, 2:] - t_prev * f[:, :-2] + t_mid * f[:, 1:-1],
-                            t_den, part)
-        out[:, 0] = over(f[:, 1] - f[:, 0], t[1] - t[0], part)
+    def d_dt(f):
+        out = np.empty(f.shape, dtype=f.dtype)
+        out[:, 1:-1] = (t_next * f[:, 2:] - t_prev * f[:, :-2] + t_mid * f[:, 1:-1]) / t_den
+        out[:, 0] = (f[:, 1] - f[:, 0]) / (t[1] - t[0])
         # second-order one-sided at the rim
-        out[:, -1] = (over(f[:, -1] * (h1 + h2), h1 * h2, part)
-                      - over(f[:, -2] * h2, h1 * (h2 - h1), part)
-                      + over(f[:, -3] * h1, h2 * (h2 - h1), part))
+        out[:, -1] = (f[:, -1] * (h1 + h2) / (h1 * h2)
+                      - f[:, -2] * h2 / (h1 * (h2 - h1))
+                      + f[:, -3] * h1 / (h2 * (h2 - h1)))
         return out
 
-    def d_dtheta(f, part=False):  # the first and last rays wrap around
-        return over(q_next * np.roll(f, -1, axis=0) - q_prev * np.roll(f, 1, axis=0)
-                    + q_mid * f, q_den, part)
+    def d_dtheta(f):  # the first and last rays wrap around
+        return (q_next * np.roll(f, -1, axis=0) - q_prev * np.roll(f, 1, axis=0)
+                + q_mid * f) / q_den
 
     x, y = mesh.xy()
     xt, yt, xq, yq = d_dt(x), d_dt(y), d_dtheta(x), d_dtheta(y)
     det = xt * yq - xq * yt
-    with np.errstate(divide="ignore"):
-        inv_det = 1.0 / det  # inf on the center column, which is NaN anyway
-
-    def real_gradient(f, part=False):
-        ft, fq = d_dt(f, part), d_dtheta(f, part)
-        fx, fy = ft * yq - fq * yt, fq * xt - ft * xq
-        scale, c = (np.multiply, inv_det) if part else (np.divide, det)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale(fx, c, out=fx)
-            scale(fy, c, out=fy)
-        fx[:, 0] = np.nan
-        fy[:, 0] = np.nan
-        return fx, fy
 
     def gradient(W):
-        if not np.iscomplexobj(W):
-            return real_gradient(W)
-        Wx, Wy = np.empty(W.shape, complex), np.empty(W.shape, complex)
-        for f, fx, fy in ((W.real, Wx.real, Wy.real), (W.imag, Wx.imag, Wy.imag)):
-            fx[...], fy[...] = real_gradient(f, part=True)
+        Wt, Wq = d_dt(W), d_dtheta(W)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            Wx = (Wt * yq - Wq * yt) / det
+            Wy = (Wq * xt - Wt * xq) / det
+        Wx[:, 0] = np.nan
+        Wy[:, 0] = np.nan
         return Wx, Wy
 
     return gradient
