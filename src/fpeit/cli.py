@@ -140,8 +140,11 @@ def run_verify(config: RunConfig, out_dir) -> int:
     joint mesh doubling rather than on absolute size; the Cartesian successor
     residual for separable conductivities sits at the rounding floor and gets
     an absolute threshold. For the limit construction (sigma not separable)
-    the successor residual measures its gap and the Vekua residual sees the
-    conductivity jumps, so both are reported without thresholds.
+    the successor residuals measure its gap and are reported without
+    thresholds. The Vekua residual is thresholded exactly when the boundary
+    data is an exact case, so a limit construction with exact-case data has
+    its Vekua residual enforced too; without an exact case it is reported
+    without a threshold.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

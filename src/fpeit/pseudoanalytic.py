@@ -33,6 +33,7 @@ chunk form that ``_Chains`` reads.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -61,8 +62,8 @@ class RadialMesh:
     Nodes are z[r, s] = t[s] * span[r] with span[r] = e^{i theta[r]}, so every
     ray starts at the origin (s = 0) and ends on the unit circle at angle
     theta[r] (s = S). The parameter grid t is shared by all rays, which lets
-    the cumulative quadrature operators be computed once. No per-node array
-    is stored: ``span`` and ``nodes`` are formed from theta and t.
+    the cumulative quadrature operators be computed once. Only ``gradient``,
+    built on first use, holds per-node arrays; ``span`` and ``nodes`` are formed on access.
     """
 
     theta: np.ndarray            # (P,) ray angles, sorted, in [0, 2pi)
@@ -93,6 +94,11 @@ class RadialMesh:
     def xy(self):
         nodes = self.nodes
         return nodes.real, nodes.imag
+
+    @functools.cached_property
+    def gradient(self):
+        """The mesh's ``_gradient_operator``, built on first use and kept in the instance."""
+        return _gradient_operator(self)
 
 
 def _cumulative_cubic_weights(t: np.ndarray):
@@ -187,10 +193,17 @@ def radial_mesh(P: int, S: int, *, rim_grading: float = 1.0,
         raise ValidationError(f"rim_grading must be positive, got {rim_grading!r}")
     t = u if g == 1.0 else 1.0 - (1.0 - u) ** g
     t[0], t[-1] = 0.0, 1.0
+    if np.diff(t).min() < np.finfo(float).eps:  # a repeated or one-ulp step next to t = 1
+        raise ValidationError(f"rim_grading {rim_grading!r} leaves S={S} radial steps unresolved")
+    try:
+        chunk_ops = _chunk_operators(t)
+    except np.linalg.LinAlgError:
+        raise ValidationError(f"rim_grading {rim_grading!r} makes the cubic radial stencil "
+                              f"singular at S={S}") from None
 
     gaps = np.diff(np.concatenate([theta, [theta[0] + 2 * math.pi]]))
     bw = 0.5 * (gaps + np.roll(gaps, 1))
-    return RadialMesh(theta=theta, t=t, boundary_weights=bw, chunk_ops=_chunk_operators(t))
+    return RadialMesh(theta=theta, t=t, boundary_weights=bw, chunk_ops=chunk_ops)
 
 
 # --------------------------------------------------------------------------
@@ -220,7 +233,7 @@ class GeneratingPair:
 
 
 def _fd_xy(fn: Callable, x: np.ndarray, y: np.ndarray, h: float):
-    """d/dx and d/dy of fn by centered differences on a local Cartesian stencil.
+    """d/dx and d/dy of fn (a field or a stack of them) by centered Cartesian differences.
 
     Arms are shortened to the largest step that stays in the closed disk
     (one-sided when a side collapses entirely). In the tangential direction
@@ -255,7 +268,7 @@ def _fd_xy(fn: Callable, x: np.ndarray, y: np.ndarray, h: float):
             ft = fn(xb * c - yb * s, xb * s + yb * c)
             fb = fn(xb * c + yb * s, -xb * s + yb * c)
             tang = (-yb * dx + xb * dy) / rb
-            d[both] = tang * (ft - fb) / (2.0 * h * rb)
+            d[..., both] = tang * (ft - fb) / (2.0 * h * rb)
         out.append(d)
     return out
 
@@ -278,14 +291,14 @@ def characteristic_coefficients(pair: GeneratingPair, mesh: RadialMesh, h: float
     """The coefficient fields (B, b) of a pair (p, i/p); its A and a vanish.
 
     Derivatives of p and 1/p are taken by centered finite differences with
-    spacing ``h`` (one-sided at the rim), so the pair must be backed by a
-    callable p.
+    spacing ``h`` (one-sided at the rim), in one pass that evaluates p once
+    per stencil point, so the pair must be backed by a callable p.
     """
     if pair.p_fn is None:
         raise ValidationError("characteristic coefficients need a callable-backed pair (p, i/p)")
-    x, y = mesh.xy()
-    return _coefficients(pair.p, _fd_xy(pair.p_fn, x, y, h),
-                         _fd_xy(lambda a, b: 1.0 / pair.p_fn(a, b), x, y, h))
+    (px, qx), (py, qy) = _fd_xy(lambda a, b: np.stack([p := pair.p_fn(a, b), 1.0 / p]),
+                                *mesh.xy(), h)
+    return _coefficients(pair.p, (px, py), (qx, qy))
 
 
 # --------------------------------------------------------------------------
@@ -403,7 +416,7 @@ def fg_integral(W: np.ndarray, pair: GeneratingPair, mesh: RadialMesh,
 
 
 def _gradient_operator(mesh: RadialMesh):
-    """W -> (d/dx W, d/dy W) on ``mesh`` by curvilinear central differences.
+    """(..., P, S+1) fields W -> (d/dx W, d/dy W) on ``mesh`` by curvilinear central differences.
 
     Parameter derivatives along t (radial) and theta (angular, periodic) are
     inverted through the numerically evaluated mesh Jacobian. The stencil
@@ -425,16 +438,16 @@ def _gradient_operator(mesh: RadialMesh):
 
     def d_dt(f):
         out = np.empty(f.shape, dtype=f.dtype)
-        out[:, 1:-1] = (t_next * f[:, 2:] - t_prev * f[:, :-2] + t_mid * f[:, 1:-1]) / t_den
-        out[:, 0] = (f[:, 1] - f[:, 0]) / (t[1] - t[0])
+        out[..., 1:-1] = (t_next * f[..., 2:] - t_prev * f[..., :-2] + t_mid * f[..., 1:-1]) / t_den
+        out[..., 0] = (f[..., 1] - f[..., 0]) / (t[1] - t[0])
         # second-order one-sided at the rim
-        out[:, -1] = (f[:, -1] * (h1 + h2) / (h1 * h2)
-                      - f[:, -2] * h2 / (h1 * (h2 - h1))
-                      + f[:, -3] * h1 / (h2 * (h2 - h1)))
+        out[..., -1] = (f[..., -1] * (h1 + h2) / (h1 * h2)
+                        - f[..., -2] * h2 / (h1 * (h2 - h1))
+                        + f[..., -3] * h1 / (h2 * (h2 - h1)))
         return out
 
     def d_dtheta(f):  # the first and last rays wrap around
-        return (q_next * np.roll(f, -1, axis=0) - q_prev * np.roll(f, 1, axis=0)
+        return (q_next * np.roll(f, -1, axis=-2) - q_prev * np.roll(f, 1, axis=-2)
                 + q_mid * f) / q_den
 
     x, y = mesh.xy()
@@ -446,19 +459,17 @@ def _gradient_operator(mesh: RadialMesh):
         with np.errstate(divide="ignore", invalid="ignore"):
             Wx = (Wt * yq - Wq * yt) / det
             Wy = (Wq * xt - Wt * xq) / det
-        Wx[:, 0] = np.nan
-        Wy[:, 0] = np.nan
+        Wx[..., 0] = np.nan
+        Wy[..., 0] = np.nan
         return Wx, Wy
 
     return gradient
 
 
 def _vekua_operator(p: np.ndarray, mesh: RadialMesh):
-    """W -> |dzbar(W) - b conj(W)| per node; b = dzbar(p)/p and the mesh derivatives built once."""
-    gradient = _gradient_operator(mesh)
-
+    """W -> |dzbar(W) - b conj(W)| per node; b = dzbar(p)/p, on the mesh's own gradient."""
     def dzbar(W):
-        Wx, Wy = gradient(np.asarray(W, dtype=complex))
+        Wx, Wy = mesh.gradient(np.asarray(W, dtype=complex))
         return Wx + 1j * Wy
 
     p = np.asarray(p, dtype=float)
@@ -516,10 +527,9 @@ def build_sequence(field: ConductivityField, mesh: RadialMesh) -> GeneratingSequ
                                     for j, p in enumerate(ps)))
 
 
-def _successor_gaps(seq: GeneratingSequence, coefficients):
-    """|B_(m+1) + b_m| per node for each m in one period; ``coefficients(pair)`` gives (B, b)."""
-    Bb = [coefficients(pair) for pair in seq.pairs]
-    return [np.abs(Bb[(m + 1) % seq.period][0] + Bb[m][1]) for m in range(seq.period)]
+def _successor_gaps(B: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|B_(m+1) + b_m| per node for each m in one period, from (B, b) stacked over the pairs."""
+    return np.abs(np.roll(B, -1, axis=0) + b)
 
 
 def successor_residual(seq: GeneratingSequence, mesh: RadialMesh, h: float = 1e-4):
@@ -532,8 +542,8 @@ def successor_residual(seq: GeneratingSequence, mesh: RadialMesh, h: float = 1e-
     residual instead measures |2 dx(p)/p|, the gap of the limit-case
     construction, and is not expected to be small.
     """
-    gaps = _successor_gaps(seq, lambda pair: characteristic_coefficients(pair, mesh, h=h))
-    return [float(np.max(g)) for g in gaps]
+    B, b = np.stack([characteristic_coefficients(pair, mesh, h=h) for pair in seq.pairs], axis=1)
+    return [float(np.max(g)) for g in _successor_gaps(B, b)]
 
 
 def successor_residual_mesh(seq: GeneratingSequence, mesh: RadialMesh):
@@ -542,11 +552,8 @@ def successor_residual_mesh(seq: GeneratingSequence, mesh: RadialMesh):
     The polar stencils mix x and y, so no structural cancellation occurs and
     the residual reflects genuine discretization error: it shrinks at second
     order as the mesh is refined. Interior nodes only (the center column is
-    singular and the rim column one-sided).
+    singular and the rim column one-sided). p and 1/p are each differenced once, pairs stacked.
     """
-    gradient = _gradient_operator(mesh)
-
-    def coefficients(pair):
-        return _coefficients(pair.p, gradient(pair.p), gradient(1.0 / pair.p))
-
-    return [float(np.nanmax(g[:, 1:-1])) for g in _successor_gaps(seq, coefficients)]
+    p = np.stack([pair.p for pair in seq.pairs])
+    B, b = _coefficients(p, mesh.gradient(p), mesh.gradient(1.0 / p))
+    return [float(np.nanmax(g[:, 1:-1])) for g in _successor_gaps(B, b)]

@@ -95,6 +95,22 @@ def test_bad_numeric_config_exits_2(tmp_path, capsys, bad):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("grading", [7, 8, 20, 1e9, 1e-9])
+def test_rim_grading_that_collapses_the_grid_exits_2(tmp_path, capsys, grading):
+    # at S = 400 these round radial steps to zero or one ulp, or make the cubic
+    # stencil singular; verify meshes S = 100 and 200, where 7 already collapses
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"preset": "sinusoidal", "S": 400, "rim_grading": grading}))
+    for command in ("solve", "verify"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert "invalid input" in err and "rim_grading" in err and "S=" in err
+        assert "Traceback" not in err
+
+
 def test_solve_writes_artifacts(tmp_path):
     cfg = small_rings_config(interior=True, dump_powers=True)
     assert run_solve(cfg, tmp_path) == 0

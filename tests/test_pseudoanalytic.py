@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,11 +14,13 @@ from fpeit.conductivity import (
     scene_from_dict,
 )
 from fpeit import pseudoanalytic
+from fpeit.cli import run_solve, run_verify
 from fpeit.errors import NumericalError, ValidationError
 from fpeit.formal_powers import build_table, pseudoanalyticity_check
 from fpeit.presets import PRESET_NAMES, build_field, config_from_dict, corner_angles_for
 from fpeit.pseudoanalytic import (
     GeneratingPair,
+    _chunk_operators,
     _coefficients,
     _cumulative_cubic_weights,
     _fd_xy,
@@ -109,6 +112,27 @@ def test_mesh_rim_grading():
     gaps = np.diff(mesh.t)
     assert gaps[-1] < gaps[0]  # clustered toward the rim
     assert mesh.t[0] == 0.0 and mesh.t[-1] == 1.0
+
+
+@pytest.mark.parametrize("grading", [7.0, 8.0, 1e9, 1e-9])
+def test_mesh_rejects_a_rim_grading_that_collapses_the_grid(grading):
+    # 7 and 8 round the last step to one ulp or to zero, 1e9 every step near the rim,
+    # and 1e-9 crowds all but the last node at the centre (a singular cubic stencil)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="rim_grading.*S=400"):
+            radial_mesh(35, 400, rim_grading=grading)
+
+
+@pytest.mark.parametrize("grading", [2.0, 6.0])
+def test_mesh_rim_grading_that_resolves_the_grid_is_unchanged(grading):
+    mesh = radial_mesh(35, 400, rim_grading=grading)
+    t = 1.0 - (1.0 - np.linspace(0.0, 1.0, 401)) ** grading
+    t[0], t[-1] = 0.0, 1.0
+    assert mesh.t.tobytes() == t.tobytes()
+    for rule, (lo, op) in _chunk_operators(t).items():
+        assert mesh.chunk_ops[rule][0] == lo
+        assert mesh.chunk_ops[rule][1].tobytes() == op.tobytes()
 
 
 # --- pairs ---------------------------------------------------------------------
@@ -547,8 +571,20 @@ def test_verify_residuals_match_reference_loops(name):
                 for m in range(seq.period)]
     assert successor_residual_mesh(seq, mesh) == expected
 
+    # the Cartesian stencil, one pair at a time and p and 1/p in separate passes
+    x, y = mesh.xy()
 
-def test_mesh_derivatives_are_built_once_per_check(monkeypatch):
+    def cartesian(pair):
+        return _coefficients(pair.p, _fd_xy(pair.p_fn, x, y, 1e-4),
+                             _fd_xy(lambda a, b: 1.0 / pair.p_fn(a, b), x, y, 1e-4))
+
+    Bb = [cartesian(pair) for pair in seq.pairs]
+    expected = [float(np.max(np.abs(Bb[(m + 1) % seq.period][0] + Bb[m][1])))
+                for m in range(seq.period)]
+    assert successor_residual(seq, mesh) == expected
+
+
+def test_mesh_derivatives_are_built_once_per_verify_mesh(monkeypatch, tmp_path):
     builds = []
     build = pseudoanalytic._gradient_operator
 
@@ -557,12 +593,12 @@ def test_mesh_derivatives_are_built_once_per_check(monkeypatch):
         return build(mesh)
 
     monkeypatch.setattr(pseudoanalytic, "_gradient_operator", counting)
-    mesh = radial_mesh(16, 40)
-    seq = build_sequence(sinusoidal_case(math.pi).field, mesh)
-    pseudoanalyticity_check(seq, mesh, 8)
-    assert len(builds) == 1  # not 2(N+1)+1 = 19
-    successor_residual_mesh(seq, mesh)
-    assert len(builds) == 2  # one for both pairs
+    config = config_from_dict({"preset": "sinusoidal", "N": 4, "P": 16, "S": 50, "Q": 64})
+    assert run_verify(config, tmp_path / "verify") == 0
+    assert [(m.ray_count, m.step_count) for m in builds] == [(16, 50), (32, 100)]
+    builds.clear()
+    assert run_solve(config, tmp_path / "solve") == 0
+    assert builds == []  # solve never differentiates on a mesh
 
 
 # --- sequences ---------------------------------------------------------------------
