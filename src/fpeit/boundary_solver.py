@@ -142,8 +142,7 @@ def reconstruct_interior(res: SolveResult) -> np.ndarray:
     one Horner chain from the fit's seeds; its boundary column reproduces
     the fitted trace up to rounding.
     """
-    return fitted_field(res.field, res.mesh, len(res.fit.seeds) - 1, res.fit.seeds,
-                        rule=res.rule)
+    return fitted_field(res.field, res.mesh, len(res.fit.seeds) - 1, res.fit.seeds)
 
 
 # --------------------------------------------------------------------------
@@ -159,7 +158,6 @@ class SolveResult:
     theta_dense: np.ndarray
     data_dense: np.ndarray
     fit_dense: np.ndarray
-    rule: str                # ray quadrature rule of the powers
     timings: dict
 
 
@@ -212,12 +210,12 @@ def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 
                     "the basis will saturate at P functions", P, 2 * N + 1, N)
     timings: dict[str, float] = {}
     t0 = time.monotonic()
-    mesh = radial_mesh(P, S, rim_grading=rim_grading, corner_angles=corner_angles)
+    mesh = radial_mesh(P, S, rim_grading=rim_grading, corner_angles=corner_angles, rule=rule)
     # bad data is rejected before any formal power is built
     data_P = _boundary_samples(data_fn, mesh.theta)
     theta_q = 2.0 * math.pi * np.arange(Q) / Q
     data_q = _boundary_samples(data_fn, theta_q)
-    system = rim_traces(field, mesh, N, rule=rule)
+    system = rim_traces(field, mesh, N)
     timings["build"] = time.monotonic() - t0
 
     t1 = time.monotonic()
@@ -227,9 +225,9 @@ def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 
 
     t2 = time.monotonic()
     if dense_error:
-        mesh_q = radial_mesh(Q, S, rim_grading=rim_grading)
+        mesh_q = radial_mesh(Q, S, rim_grading=rim_grading, rule=rule)
     if fit_quadrature == "dense":
-        raw_q = rim_traces(field, mesh_q, N, rule=rule).raw
+        raw_q = rim_traces(field, mesh_q, N).raw
         b, *_ = np.linalg.lstsq((basis.transform @ raw_q).T, data_q, rcond=None)
         fitted = b @ basis.functions
     c = basis.transform.T @ b
@@ -240,7 +238,7 @@ def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 
     if fit_quadrature == "dense":
         fit_q = c @ raw_q
     elif dense_error:
-        fit_q = fitted_field(field, mesh_q, N, seeds, rule=rule, rim=True)
+        fit_q = fitted_field(field, mesh_q, N, seeds, rim=True)
     else:
         fit_q = upsample_periodic_linear(mesh.theta, fitted, theta_q)
     if dense_error:
@@ -256,4 +254,4 @@ def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 
                         fitted=fitted, error=E, error_fit_nodes=e_fit)
     return SolveResult(fit=fit_res, mesh=mesh, field=field, basis=basis,
                        theta_dense=theta_q, data_dense=data_q, fit_dense=fit_q,
-                       rule=rule, timings=timings)
+                       timings=timings)

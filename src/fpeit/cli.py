@@ -84,7 +84,7 @@ def run_solve(config: RunConfig, out_dir) -> int:
         write_csv(out / "interior.csv", ["x", "y", "u"], [rows(*res.mesh.xy(), u)])
     seq = build_sequence(field, res.mesh)
     if config.dump_powers:
-        table = build_table(seq, res.mesh, config.N, rule=config.rule)
+        table = build_table(seq, res.mesh, config.N)
         write_powers_csv(table, out / "powers.csv")
     timings = {**res.timings, "write": time.monotonic() - t_write}
 
@@ -180,10 +180,10 @@ def run_verify(config: RunConfig, out_dir) -> int:
 
     Nv = min(config.N, 8)
     P1, S1 = config.P, min(config.S, 100)
-    meshes = [radial_mesh(P1, S1, rim_grading=config.rim_grading),
-              radial_mesh(2 * P1, 2 * S1, rim_grading=config.rim_grading)]
+    meshes = [radial_mesh(P1, S1, rim_grading=config.rim_grading, rule=config.rule),
+              radial_mesh(2 * P1, 2 * S1, rim_grading=config.rim_grading, rule=config.rule)]
     seqs = [build_sequence(field, m) for m in meshes]
-    vekua = [pseudoanalyticity_check(sq, m, Nv, rule=config.rule) for m, sq in zip(meshes, seqs)]
+    vekua = [pseudoanalyticity_check(sq, m, Nv) for m, sq in zip(meshes, seqs)]
     succ_mesh = [successor_residual_mesh(sq, m) for m, sq in zip(meshes, seqs)]
 
     limit_gap = limit_construction(field)
@@ -218,8 +218,8 @@ def run_powers(config: RunConfig, out_dir) -> int:
     field = build_field(config)
     corners = corner_angles_for(config, field)
     mesh = radial_mesh(config.P, config.S, rim_grading=config.rim_grading,
-                       corner_angles=corners)
-    table = build_table(build_sequence(field, mesh), mesh, config.N, rule=config.rule)
+                       corner_angles=corners, rule=config.rule)
+    table = build_table(build_sequence(field, mesh), mesh, config.N)
     write_powers_csv(table, out / "powers.csv")
     print(f"wrote powers for N={config.N} on {config.P}x{config.S} mesh -> {out}")
     return 0

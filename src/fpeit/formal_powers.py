@@ -24,7 +24,7 @@ coefficients that depend only on the two pairs involved and the ray span,
 so they are built once per mesh and shared by every seed. The chains of
 all requested seeds are stacked in one state and advance together, one
 blocked quadrature product per degree, with the degree folded into the
-quadrature operator.
+quadrature operator of the mesh's rule (``RadialMesh.quadrature``).
 
 Z^(n)(a) is real-linear in the seed a, and so is each pair integral, so a
 combination sum_n Z^(n)(a_n) is one chain of N steps, run by Horner's rule
@@ -83,14 +83,13 @@ class BoundarySystem:
     labels: np.ndarray   # (M,) coefficient labels (slot N+1 reserved, absent)
 
 
-def _power_tables(seq: GeneratingSequence, mesh: RadialMesh, N: int, seeds,
-                  rule: str = "cubic") -> np.ndarray:
+def _power_tables(seq: GeneratingSequence, mesh: RadialMesh, N: int, seeds) -> np.ndarray:
     """Pair-0 formal powers of every seed, as a (seeds, N+1, P, S+1) array."""
     if N < 0:
         raise ValidationError(f"N must be non-negative, got {N}")
     out = np.empty((len(seeds), N + 1, mesh.ray_count, mesh.step_count + 1), dtype=complex)
     p = seq.pair_for(0).p
-    for d, A, B in _Chains([pair.p for pair in seq.pairs], mesh, seeds, rule).powers(N):
+    for d, A, B in _Chains([pair.p for pair in seq.pairs], mesh, seeds).powers(N):
         _pair_zero_powers(A, B, p, out[:, d])
     return out
 
@@ -105,15 +104,19 @@ def _pair_zero_powers(A, B, p: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def formal_power_fields(seq: GeneratingSequence, mesh: RadialMesh, N: int,
-                        seed: complex, rule: str = "cubic") -> np.ndarray:
+                        seed: complex) -> np.ndarray:
     """Pair-0 formal powers Z^(0..N)(seed, z; 0) about the origin, as an (N+1, P, S+1) array."""
-    return _power_tables(seq, mesh, N, (seed,), rule)[0]
+    return _power_tables(seq, mesh, N, (seed,))[0]
 
 
 def build_table(seq: GeneratingSequence, mesh: RadialMesh, N: int,
-                rule: str = "cubic") -> FormalPowerTable:
-    """Build the full table for seeds 1 and i, both seeds' chains in one pass."""
-    Z1, Zi = _power_tables(seq, mesh, N, (1.0, 1j), rule)
+                rule: str | None = None) -> FormalPowerTable:
+    """Build the full table for seeds 1 and i, both seeds' chains in one pass, by the mesh's rule.
+
+    ``rule`` stays only because ``perfbench/gate.py`` passes it; it must be None or mesh.rule."""
+    if rule is not None and rule != mesh.rule:
+        raise ValidationError(f"rule {rule!r} is not the mesh's quadrature rule {mesh.rule!r}")
+    Z1, Zi = _power_tables(seq, mesh, N, (1.0, 1j))
     return FormalPowerTable(N=N, mesh=mesh, Z1=Z1, Zi=Zi)
 
 
@@ -132,7 +135,7 @@ def ray_workers(environ=os.environ) -> int:
     return min(cap, cores) if cap > 0 else cores
 
 
-def _over_ray_blocks(field: ConductivityField, mesh: RadialMesh, seeds, rule: str, run):
+def _over_ray_blocks(field: ConductivityField, mesh: RadialMesh, seeds, run):
     """Call ``run(rays, chains)`` on ``ray_workers()`` threads for every block of RAY_BLOCK
     rays, ``chains`` holding the chains of ``seeds`` on the block's slice of the mesh.
 
@@ -145,15 +148,14 @@ def _over_ray_blocks(field: ConductivityField, mesh: RadialMesh, seeds, rule: st
         block_mesh = replace(mesh, theta=mesh.theta[rays],
                              boundary_weights=mesh.boundary_weights[rays])
         seq = build_sequence(field, block_mesh)
-        run(rays, _Chains([pair.p for pair in seq.pairs], block_mesh, seeds, rule, first))
+        run(rays, _Chains([pair.p for pair in seq.pairs], block_mesh, seeds, first))
 
     with ThreadPoolExecutor(max_workers=ray_workers()) as pool:
         # reading every result re-raises the error of a failed block here
         list(pool.map(block, range(0, mesh.ray_count, RAY_BLOCK)))
 
 
-def rim_traces(field: ConductivityField, mesh: RadialMesh, N: int,
-               rule: str = "cubic") -> BoundarySystem:
+def rim_traces(field: ConductivityField, mesh: RadialMesh, N: int) -> BoundarySystem:
     """Real parts of the boundary traces of the formal powers on ``mesh``, without the table.
 
     The N+1 seed-1 traces come first, then the N seed-i traces of degrees
@@ -173,12 +175,12 @@ def rim_traces(field: ConductivityField, mesh: RadialMesh, N: int,
             if d:
                 raw[N + d, rays] = A[-1, 1] * p_rim
 
-    _over_ray_blocks(field, mesh, (1.0, 1j), rule, traces)
+    _over_ray_blocks(field, mesh, (1.0, 1j), traces)
     return BoundarySystem(theta=mesh.theta.copy(), weights=mesh.boundary_weights.copy(),
                           raw=raw, labels=np.r_[0:N + 1, N + 2:2 * N + 2])
 
 
-def fitted_field(field: ConductivityField, mesh: RadialMesh, N: int, a, rule: str = "cubic",
+def fitted_field(field: ConductivityField, mesh: RadialMesh, N: int, a,
                  rim: bool = False) -> np.ndarray:
     """Re sum_n Z^(n)(a_n) at every node of ``mesh``, a (P, S+1) array, without the table;
     with ``rim``, only its rim column, a (P,) array.
@@ -200,12 +202,11 @@ def fitted_field(field: ConductivityField, mesh: RadialMesh, N: int, a, rule: st
             chains.add_degree_zero((d - 1) % k, (a[d - 1],))
         out[rays] = chains.state[steps, 0, 0].T * chains.ps[0][:, steps]
 
-    _over_ray_blocks(field, mesh, (a[N],), rule, horner)
+    _over_ray_blocks(field, mesh, (a[N],), horner)
     return out
 
 
-def pseudoanalyticity_check(seq: GeneratingSequence, mesh: RadialMesh, N: int,
-                            rule: str = "cubic") -> np.ndarray:
+def pseudoanalyticity_check(seq: GeneratingSequence, mesh: RadialMesh, N: int) -> np.ndarray:
     """Max interior Vekua residual of each degree 0..N (both seeds), with the pair-0 b.
 
     The chains of seeds 1 and i run here, and each degree is checked as it is
@@ -215,7 +216,7 @@ def pseudoanalyticity_check(seq: GeneratingSequence, mesh: RadialMesh, N: int,
     residual = _vekua_operator(p, mesh)
     Z = np.empty((2, mesh.ray_count, mesh.step_count + 1), dtype=complex)
     out = np.empty(N + 1)
-    for d, A, B in _Chains([pair.p for pair in seq.pairs], mesh, (1.0, 1j), rule).powers(N):
+    for d, A, B in _Chains([pair.p for pair in seq.pairs], mesh, (1.0, 1j)).powers(N):
         Z1, Zi = _pair_zero_powers(A, B, p, Z)
         out[d] = float(np.nanmax(np.fmax(residual(Z1), residual(Zi))[:, 1:-1]))
     return out

@@ -27,8 +27,8 @@ where (F*, G*) = (-i p, 1/p) is the adjoint pair.
 The pair integral has one kernel, ``_Chains``: a state of real (A, B)
 fields, advanced one pair integral at a time by a blocked ray quadrature.
 The formal-power chains run on it, and ``fg_integral`` is one of its steps.
-``radial_mesh`` builds the quadrature operator once per mesh, in the strided
-chunk form that ``_Chains`` reads.
+The quadrature rule is a property of the mesh: ``radial_mesh`` builds that
+rule's operator once, in the strided chunk form that ``_Chains`` reads.
 """
 
 from __future__ import annotations
@@ -62,14 +62,15 @@ class RadialMesh:
     Nodes are z[r, s] = t[s] * span[r] with span[r] = e^{i theta[r]}, so every
     ray starts at the origin (s = 0) and ends on the unit circle at angle
     theta[r] (s = S). The parameter grid t is shared by all rays, which lets
-    the cumulative quadrature operators be computed once. Only ``gradient``,
+    the cumulative quadrature operator be computed once. Only ``gradient``,
     built on first use, holds per-node arrays; ``span`` and ``nodes`` are formed on access.
     """
 
     theta: np.ndarray            # (P,) ray angles, sorted, in [0, 2pi)
     t: np.ndarray                # (S+1,) path parameters, 0 = t0 < ... < tS = 1
     boundary_weights: np.ndarray  # (P,) closed-curve trapezoid arc weights
-    chunk_ops: dict              # rule -> (lo, (C, b, width) window-to-prefix-sum maps)
+    rule: str                    # ray quadrature rule, "cubic" or "trapezoid"
+    quadrature: tuple            # (lo, (C, b, width) window-to-prefix-sum maps) of the rule
 
     @property
     def ray_count(self):
@@ -128,34 +129,28 @@ def _cumulative_cubic_weights(t: np.ndarray):
     return idx, w
 
 
-def _chunk_operators(t: np.ndarray):
-    """Cumulative ray quadrature on the grid t as per-chunk linear maps, per rule.
+def _chunk_operator(idx: np.ndarray, w: np.ndarray):
+    """The cumulative ray quadrature of a stencil as per-chunk linear maps (lo, op).
 
-    The S intervals form chunks of b = CHUNK (b = S - 2 when S < CHUNK + 2).
-    Each rule gives (lo, op) with op of shape (C, b, width): chunk c reads
-    the ``width`` integrand values at steps c b + lo onwards, those outside
-    0..S read as zero, and ``op[c]`` maps them to the chunk's b prefix sums;
-    the running integral adds the totals of the chunks before it.
+    Interval j integrates to sum_k w[j, k] f[idx[j, k]]. The S intervals form chunks of
+    b = CHUNK (b = S - 2 when S < CHUNK + 2), and op has shape (C, b, width): chunk c
+    reads the ``width`` integrand values at steps c b + lo onwards, those outside 0..S
+    read as zero, and ``op[c]`` maps them to the chunk's b prefix sums; the running
+    integral adds the totals of the chunks before it.
     """
-    S = len(t) - 1
+    S = len(idx)
     b = CHUNK if S >= CHUNK + 2 else S - 2
     C = -(-S // b)
     j = np.arange(S)
-    half = 0.5 * np.diff(t)
-    stencils = {"cubic": _cumulative_cubic_weights(t),
-                "trapezoid": (np.stack([j, j + 1], axis=1), np.stack([half, half], axis=1))}
-    ops = {}
-    for rule, (idx, w) in stencils.items():
-        offset = idx - (j - j % b)[:, None]          # stencil steps from their chunk's start
-        lo = offset.min()
-        inc = np.zeros((C, b, offset.max() - lo + 1))
-        inc[(j // b)[:, None], (j % b)[:, None], offset - lo] = w
-        ops[rule] = lo, np.cumsum(inc, axis=1)
-    return ops
+    offset = idx - (j - j % b)[:, None]              # stencil steps from their chunk's start
+    lo = offset.min()
+    inc = np.zeros((C, b, offset.max() - lo + 1))
+    inc[(j // b)[:, None], (j % b)[:, None], offset - lo] = w
+    return lo, np.cumsum(inc, axis=1)
 
 
 def radial_mesh(P: int, S: int, *, rim_grading: float = 1.0,
-                corner_angles: Sequence[float] = ()) -> RadialMesh:
+                corner_angles: Sequence[float] = (), rule: str = "cubic") -> RadialMesh:
     """Build the radial integration mesh of the unit disk about the origin.
 
     Parameters
@@ -170,9 +165,13 @@ def radial_mesh(P: int, S: int, *, rim_grading: float = 1.0,
         Boundary angles that must coincide with some ray (one nearest ray is
         snapped to each); used to force rays across polygon corners. Two
         distinct angles that pick the same ray are rejected.
+    rule:
+        Ray quadrature of every pair integral on the mesh, "cubic" or "trapezoid".
     """
     if P < 3 or S < 3:
         raise ValidationError(f"mesh needs P >= 3 rays and S >= 3 steps, got P={P}, S={S}")
+    if rule not in ("cubic", "trapezoid"):
+        raise ValidationError(f"unknown quadrature rule {rule!r}")
 
     theta = 2.0 * math.pi * np.arange(P) / P
     snapped = {}  # ray -> the corner angle it was moved to
@@ -195,15 +194,19 @@ def radial_mesh(P: int, S: int, *, rim_grading: float = 1.0,
     t[0], t[-1] = 0.0, 1.0
     if np.diff(t).min() < np.finfo(float).eps:  # a repeated or one-ulp step next to t = 1
         raise ValidationError(f"rim_grading {rim_grading!r} leaves S={S} radial steps unresolved")
-    try:
-        chunk_ops = _chunk_operators(t)
-    except np.linalg.LinAlgError:
-        raise ValidationError(f"rim_grading {rim_grading!r} makes the cubic radial stencil "
-                              f"singular at S={S}") from None
+    if rule == "trapezoid":
+        stencil = np.c_[0:S, 1:S + 1], 0.5 * np.c_[np.diff(t), np.diff(t)]
+    else:
+        try:
+            stencil = _cumulative_cubic_weights(t)
+        except np.linalg.LinAlgError:
+            raise ValidationError(f"rim_grading {rim_grading!r} makes the cubic radial stencil "
+                                  f"singular at S={S}") from None
 
     gaps = np.diff(np.concatenate([theta, [theta[0] + 2 * math.pi]]))
     bw = 0.5 * (gaps + np.roll(gaps, 1))
-    return RadialMesh(theta=theta, t=t, boundary_weights=bw, chunk_ops=chunk_ops)
+    return RadialMesh(theta=theta, t=t, boundary_weights=bw, rule=rule,
+                      quadrature=_chunk_operator(*stencil))
 
 
 # --------------------------------------------------------------------------
@@ -327,12 +330,8 @@ class _Chains:
     was sliced from, by which error messages report rays.
     """
 
-    def __init__(self, ps: list, mesh: RadialMesh, seeds, rule: str = "cubic",
-                 first_ray: int = 0):
-        try:
-            lo, self.op = mesh.chunk_ops[rule]   # chunk c: window rows -> b prefix sums
-        except KeyError:
-            raise ValidationError(f"unknown quadrature rule {rule!r}") from None
+    def __init__(self, ps: list, mesh: RadialMesh, seeds, first_ray: int = 0):
+        lo, self.op = mesh.quadrature   # chunk c: window rows -> b prefix sums
         C, b, width = self.op.shape
         self.ps, self.mesh, self.seeds, self.first_ray = ps, mesh, seeds, first_ray
         S = mesh.step_count
@@ -397,8 +396,7 @@ class _Chains:
         _check_finite(self.state[:self.mesh.step_count + 1], d, self.first_ray)
 
 
-def fg_integral(W: np.ndarray, pair: GeneratingPair, mesh: RadialMesh,
-                rule: str = "cubic") -> np.ndarray:
+def fg_integral(W: np.ndarray, pair: GeneratingPair, mesh: RadialMesh) -> np.ndarray:
     """Pair integral of W from the center along every ray, for the pair (p, i/p).
 
     Returns p Re(int G* W dz) + (i/p) Re(int F* W dz) cumulatively at every
@@ -408,7 +406,7 @@ def fg_integral(W: np.ndarray, pair: GeneratingPair, mesh: RadialMesh,
     """
     p = pair.p
     S = mesh.step_count
-    chains = _Chains([p], mesh, (1.0,), rule)
+    chains = _Chains([p], mesh, (1.0,))
     chains.state[:S + 1, 0, 0] = (np.real(W) / p).T
     chains.state[:S + 1, 1, 0] = (p * np.imag(W)).T
     chains.step(0, 1)

@@ -186,12 +186,12 @@ def test_criterion_7_structural_identities(sinusoidal_runs):
         coef = rng.normal(size=5) + 1j * rng.normal(size=5)
         errs = []
         for S in (50, 100, 200):
-            mesh = radial_mesh(4, S)
+            mesh = radial_mesh(4, S, rule="trapezoid")
             pair = GeneratingPair(np.ones(mesh.nodes.shape))
             z = mesh.nodes
             Wp = sum(k * c * z ** (k - 1) for k, c in enumerate(coef) if k >= 1)
             W = sum(c * z ** k for k, c in enumerate(coef))
-            rt = fg_integral(2 * Wp, pair, mesh, rule="trapezoid")
+            rt = fg_integral(2 * Wp, pair, mesh)
             errs.append(np.abs((rt - 2 * (W - W[0, 0]))[:, -1]).max())
         slopes.append(-np.polyfit(np.log((50, 100, 200)), np.log(errs), 1)[0])
     rt_ok = all(1.7 <= s <= 2.4 for s in slopes)

@@ -23,7 +23,7 @@ from fpeit.conductivity import (
     scene_from_dict,
 )
 from fpeit.errors import ValidationError
-from fpeit.formal_powers import RAY_BLOCK, build_table, rim_traces
+from fpeit.formal_powers import RAY_BLOCK, build_table, fitted_field, rim_traces
 from fpeit.presets import build_boundary_data, build_field, config_from_dict, corner_angles_for
 from fpeit.pseudoanalytic import build_sequence, radial_mesh
 from fpeit.verification import shifted_cubic, sinusoidal_case
@@ -195,8 +195,7 @@ def test_reconstruct_interior_harmonic():
 def reference_reconstruct_interior(res):
     """The table route reconstruct_interior replaced: the fit's raw coefficients
     combining the real parts of every formal power of the solve's table."""
-    table = build_table(build_sequence(res.field, res.mesh), res.mesh, len(res.fit.seeds) - 1,
-                        rule=res.rule)
+    table = build_table(build_sequence(res.field, res.mesh), res.mesh, len(res.fit.seeds) - 1)
     c = res.basis.transform.T @ res.fit.coefficients
     re_fields = np.concatenate([table.Z1.real, table.Zi[1:].real], axis=0)  # (M, P, S+1)
     return np.einsum("m,mps->ps", c, re_fields)
@@ -221,6 +220,18 @@ INTERIOR_CASES = {  # period 2, period 1, corner-snapped dense fit, graded rim
     "graded": lambda: solve_dirichlet(SINUSOIDAL.field, SINUSOIDAL.boundary_data, N=9, P=35,
                                       S=120, Q=200, rim_grading=2.0, rule="trapezoid"),
 }
+
+
+def test_reconstruct_interior_runs_on_the_rule_of_the_solve():
+    res = solve_dirichlet(SINUSOIDAL.field, SINUSOIDAL.boundary_data, N=9, P=35, S=120, Q=35,
+                          dense_error=False, rule="trapezoid")
+    assert res.mesh.rule == "trapezoid"
+    N, a = len(res.fit.seeds) - 1, res.fit.seeds
+    u = reconstruct_interior(res)
+    assert u.tobytes() == fitted_field(res.field, res.mesh, N, a).tobytes()
+    # the cubic powers of the same seeds are a different field
+    cubic = fitted_field(res.field, radial_mesh(35, 120), N, a)
+    assert np.abs(u - cubic).max() > 1e-6 * np.abs(u).max()
 
 
 @pytest.mark.parametrize("case", INTERIOR_CASES)

@@ -12,7 +12,7 @@ from fpeit import formal_powers, pseudoanalytic
 from fpeit.cli import main
 from fpeit.conductivity import (ConductivityField, constant_field, radial_rings_field,
                                 scene_from_dict)
-from fpeit.errors import NumericalError
+from fpeit.errors import NumericalError, ValidationError
 from fpeit.formal_powers import (
     RAY_BLOCK,
     BoundarySystem,
@@ -132,7 +132,7 @@ def test_chains_stop_at_their_last_kept_degree(monkeypatch):
     np.testing.assert_array_equal(Z, longer[:6])
 
 
-def reference_formal_power_fields(seq, mesh, N, seed, rule="cubic"):
+def reference_formal_power_fields(seq, mesh, N, seed):
     """The complex chain the stacked real chains replaced: one complex-kernel pair integral
     per degree."""
     k = seq.period
@@ -142,7 +142,7 @@ def reference_formal_power_fields(seq, mesh, N, seed, rule="cubic"):
         if start % k == 0:
             out[0] = W
         for d in range(1, N - (N - start) % k + 1):
-            W = d * reference_fg_integral(W, seq.pair_for(start - d), mesh, rule)
+            W = d * reference_fg_integral(W, seq.pair_for(start - d), mesh)
             if (start - d) % k == 0:
                 out[d] = W
     return out
@@ -160,15 +160,23 @@ DISK_SCENE = {"background": 10.0,
 @pytest.mark.parametrize("S, grading", [(60, 1.0), (60, 2.0), (301, 1.0)],
                          ids=["S60", "S60-graded", "S301"])
 def test_stacked_chains_match_complex_chain(field, period, rule, S, grading):
-    mesh = radial_mesh(13, S, rim_grading=grading)
+    mesh = radial_mesh(13, S, rim_grading=grading, rule=rule)
     seq = build_sequence(field, mesh)
     assert seq.period == period
-    table = build_table(seq, mesh, 7, rule=rule)
+    table = build_table(seq, mesh, 7)
     for seed, Z in ((1.0, table.Z1), (1j, table.Zi)):
-        ref = reference_formal_power_fields(seq, mesh, 7, seed, rule)
+        ref = reference_formal_power_fields(seq, mesh, 7, seed)
         scale = np.abs(ref).max()
         assert np.abs(Z - ref).max() <= 1e-13 * scale
-        assert np.abs(formal_power_fields(seq, mesh, 7, seed, rule=rule) - ref).max() <= 1e-13 * scale
+        assert np.abs(formal_power_fields(seq, mesh, 7, seed) - ref).max() <= 1e-13 * scale
+
+
+def test_build_table_rejects_a_rule_other_than_the_meshs():
+    mesh = radial_mesh(8, 40)
+    seq = build_sequence(constant_field(1.0), mesh)
+    with pytest.raises(ValidationError, match="'trapezoid' is not the mesh's quadrature rule 'cubic'"):
+        build_table(seq, mesh, 2, rule="trapezoid")
+    assert build_table(seq, mesh, 2, rule="cubic").Z1.tobytes() == build_table(seq, mesh, 2).Z1.tobytes()
 
 
 def test_linearity_random_seeds():
@@ -349,15 +357,15 @@ def random_fit_coefficients(N, seed=5):
 @pytest.mark.parametrize("N", [6, 7])
 def test_rim_fit_matches_combined_traces(field, period, rule, grading, N):
     # 150 rays leave a ragged last block
-    mesh = radial_mesh(150, 60, rim_grading=grading)
+    mesh = radial_mesh(150, 60, rim_grading=grading, rule=rule)
     seq = build_sequence(field, mesh)
     assert seq.period == period
     c, a = random_fit_coefficients(N)
-    ref = c @ rim_traces(field, mesh, N, rule=rule).raw
-    fit = fitted_field(field, mesh, N, a, rule=rule)
+    ref = c @ rim_traces(field, mesh, N).raw
+    fit = fitted_field(field, mesh, N, a)
     assert np.abs(fit[:, -1] - ref).max() <= 1e-13 * np.abs(ref).max()
     # the whole field is the same combination of the table's real parts
-    table = build_table(seq, mesh, N, rule=rule)
+    table = build_table(seq, mesh, N, rule=rule)  # the mesh's own rule is accepted
     ref_field = np.einsum("m,mps->ps", c, np.concatenate([table.Z1.real, table.Zi[1:].real]))
     assert np.abs(fit - ref_field).max() <= 1e-13 * np.abs(ref_field).max()
 

@@ -20,7 +20,7 @@ from fpeit.formal_powers import build_table, pseudoanalyticity_check
 from fpeit.presets import PRESET_NAMES, build_field, config_from_dict, corner_angles_for
 from fpeit.pseudoanalytic import (
     GeneratingPair,
-    _chunk_operators,
+    _chunk_operator,
     _coefficients,
     _cumulative_cubic_weights,
     _fd_xy,
@@ -95,7 +95,8 @@ def test_mesh_options_are_keyword_only():
 def test_mesh_is_centred_at_the_origin(corners):
     mesh = radial_mesh(35, 40, corner_angles=corners)
     assert [f.name for f in dataclasses.fields(mesh)] == ["theta", "t", "boundary_weights",
-                                                          "chunk_ops"]
+                                                          "rule", "quadrature"]
+    assert mesh.rule == "cubic"
     assert np.array_equal(mesh.span, np.exp(1j * mesh.theta))
     nodes = mesh.nodes
     # t = 0 times a span with a negative part is -0.0, which the CSVs would print as -0
@@ -126,13 +127,42 @@ def test_mesh_rejects_a_rim_grading_that_collapses_the_grid(grading):
 
 @pytest.mark.parametrize("grading", [2.0, 6.0])
 def test_mesh_rim_grading_that_resolves_the_grid_is_unchanged(grading):
-    mesh = radial_mesh(35, 400, rim_grading=grading)
     t = 1.0 - (1.0 - np.linspace(0.0, 1.0, 401)) ** grading
     t[0], t[-1] = 0.0, 1.0
-    assert mesh.t.tobytes() == t.tobytes()
-    for rule, (lo, op) in _chunk_operators(t).items():
-        assert mesh.chunk_ops[rule][0] == lo
-        assert mesh.chunk_ops[rule][1].tobytes() == op.tobytes()
+    half = 0.5 * np.diff(t)
+    j = np.arange(400)
+    stencils = {"cubic": _cumulative_cubic_weights(t),
+                "trapezoid": (np.stack([j, j + 1], axis=1), np.stack([half, half], axis=1))}
+    for rule, stencil in stencils.items():
+        mesh = radial_mesh(35, 400, rim_grading=grading, rule=rule)
+        assert mesh.t.tobytes() == t.tobytes()
+        lo, op = _chunk_operator(*stencil)
+        assert mesh.quadrature[0] == lo
+        assert mesh.quadrature[1].tobytes() == op.tobytes()
+
+
+def test_mesh_builds_only_its_rules_quadrature(monkeypatch):
+    calls = []
+
+    def counted(t):
+        calls.append(len(t))
+        return _cumulative_cubic_weights(t)
+
+    monkeypatch.setattr(pseudoanalytic, "_cumulative_cubic_weights", counted)
+    cubic = radial_mesh(12, 50)
+    assert calls == [51]
+    trapezoid = radial_mesh(12, 50, rule="trapezoid")
+    assert calls == [51]
+    assert (cubic.rule, trapezoid.rule) == ("cubic", "trapezoid")
+    # a chunk of b intervals reads b + 1 nodes by the trapezoid rule, b + 3 by the cubic one
+    b = pseudoanalytic.CHUNK
+    assert trapezoid.quadrature[1].shape[1:] == (b, b + 1)
+    assert cubic.quadrature[1].shape[1:] == (b, b + 3)
+
+
+def test_cumulative_rules_reject_unknown():
+    with pytest.raises(ValidationError, match="unknown quadrature rule 'simpson'"):
+        radial_mesh(6, 50, rule="simpson")
 
 
 # --- pairs ---------------------------------------------------------------------
@@ -304,11 +334,11 @@ def test_fg_integral_unit_pair_basics():
 def test_fg_integral_degenerate_collapse_bitwise():
     # with (1, i) and the trapezoid rule the integral must equal the plain
     # complex trapezoid contour integral
-    mesh = radial_mesh(10, 80)
+    mesh = radial_mesh(10, 80, rule="trapezoid")
     pair = unit_pair(mesh)
     rng = np.random.default_rng(0)
     W = rng.normal(size=mesh.nodes.shape) + 1j * rng.normal(size=mesh.nodes.shape)
-    got = fg_integral(W, pair, mesh, rule="trapezoid")
+    got = fg_integral(W, pair, mesh)
     dz = np.diff(mesh.nodes, axis=1)
     oracle = np.concatenate(
         [np.zeros((10, 1), complex),
@@ -346,14 +376,15 @@ def test_fg_integral_against_quadrature_oracle():
     pb = p_fn(zb.real, zb.imag)
     expected = pb * IG + (1j / pb) * IF
 
-    got = fg_integral(V(mesh.nodes), pair, mesh, rule="cubic")[r, -1]
+    got = fg_integral(V(mesh.nodes), pair, mesh)[r, -1]
     assert abs(got - expected) < 1e-9
 
 
-def reference_fg_integral(W, pair, mesh, rule):
-    """The complex general-pair kernel: adjoint products, then per-interval gather + einsum + cumsum."""
+def reference_fg_integral(W, pair, mesh):
+    """The complex general-pair kernel: adjoint products, then per-interval gather + einsum + cumsum,
+    by the mesh's rule."""
     def cumulative(f):
-        if rule == "trapezoid":
+        if mesh.rule == "trapezoid":
             inc = 0.5 * (f[..., 1:] + f[..., :-1]) * np.diff(mesh.t)
         else:
             idx, w = _cumulative_cubic_weights(mesh.t)
@@ -378,46 +409,40 @@ def p_fields(mesh):
 @pytest.mark.parametrize("S", [3, 4, 17, 18, 19, 60, 401])
 @pytest.mark.parametrize("grading", [1.0, 2.0])
 def test_fg_integral_matches_complex_kernel(rule, S, grading):
-    mesh = radial_mesh(9, S, rim_grading=grading)
+    mesh = radial_mesh(9, S, rim_grading=grading, rule=rule)
     rng = np.random.default_rng(S)
     W = rng.normal(size=mesh.nodes.shape) + 1j * rng.normal(size=mesh.nodes.shape)
     for name, p in p_fields(mesh).items():
         pair = GeneratingPair(p)
-        ref = reference_fg_integral(W, pair, mesh, rule)
-        got = fg_integral(W, pair, mesh, rule=rule)
+        ref = reference_fg_integral(W, pair, mesh)
+        got = fg_integral(W, pair, mesh)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), name
         assert np.all(got[:, 0] == 0.0)
 
 
 def test_fg_integral_matches_complex_kernel_on_a_ray_slice():
     # a ragged slice of rays, as the ray blocks of the dense rebuild take it
-    mesh = radial_mesh(40, 60, rim_grading=2.0)
     rays = slice(11, 34)
-    part = replace(mesh, theta=mesh.theta[rays], boundary_weights=mesh.boundary_weights[rays])
     rng = np.random.default_rng(1)
-    W = rng.normal(size=part.nodes.shape) + 1j * rng.normal(size=part.nodes.shape)
+    W = rng.normal(size=(23, 61)) + 1j * rng.normal(size=(23, 61))
     for rule in ("cubic", "trapezoid"):
+        mesh = radial_mesh(40, 60, rim_grading=2.0, rule=rule)
+        part = replace(mesh, theta=mesh.theta[rays], boundary_weights=mesh.boundary_weights[rays])
         for name, p in p_fields(mesh).items():
             pair = GeneratingPair(p[rays])
-            ref = reference_fg_integral(W, pair, part, rule)
-            got = fg_integral(W, pair, part, rule=rule)
+            ref = reference_fg_integral(W, pair, part)
+            got = fg_integral(W, pair, part)
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), (rule, name)
 
 
 @pytest.mark.parametrize("rule", ["cubic", "trapezoid"])
 def test_fg_integral_rejects_a_non_finite_result(rule):
     # a NaN integrand at step 1 spoils its whole quadrature chunk, which starts at step 1
-    mesh = radial_mesh(16, 60)
+    mesh = radial_mesh(16, 60, rule=rule)
     W = np.ones(mesh.nodes.shape, complex)
     W[5, 1] = np.nan
     with pytest.raises(NumericalError, match="degree 1, ray 5, step 1$"):
-        fg_integral(W, unit_pair(mesh), mesh, rule=rule)
-
-
-def test_cumulative_rules_reject_unknown():
-    mesh = radial_mesh(6, 50)
-    with pytest.raises(ValidationError):
-        fg_integral(np.ones(mesh.nodes.shape, complex), unit_pair(mesh), mesh, rule="simpson")
+        fg_integral(W, unit_pair(mesh), mesh)
 
 
 # --- derivative, Vekua residual ---------------------------------------------------
@@ -695,10 +720,10 @@ def test_round_trip_identity_and_order():
         errs = []
         Ss = (50, 100, 200)
         for S in Ss:
-            mesh = radial_mesh(4, S)
+            mesh = radial_mesh(4, S, rule="trapezoid")
             pair = unit_pair(mesh)
             z = mesh.nodes
-            rt = fg_integral(2 * Wp(z), pair, mesh, rule="trapezoid")
+            rt = fg_integral(2 * Wp(z), pair, mesh)
             expected = 2 * (W(z) - W(0))
             errs.append(np.abs((rt - expected)[:, -1]).max())
         slope = np.polyfit(np.log(Ss), np.log(errs), 1)[0]
