@@ -514,9 +514,14 @@ def load_conductivity_csv(path) -> LimitCase:
         raise ValidationError("conductivity CSV contains non-finite x or y coordinates")
     xs = np.unique(data[:, 0])
     ys = np.unique(data[:, 1])
+    order = np.lexsort((data[:, 1], data[:, 0]))
+    nodes = data[order, :2]
+    repeats = np.flatnonzero((nodes[1:] == nodes[:-1]).all(axis=1))
+    if len(repeats):  # with the count below, a repeat would permute the grid silently
+        x, y = nodes[repeats[0]].tolist()
+        raise ValidationError(f"conductivity CSV repeats the node x={x!r}, y={y!r}")
     if len(xs) * len(ys) != len(data):
         raise ValidationError("conductivity CSV is not a complete rectilinear grid")
-    order = np.lexsort((data[:, 1], data[:, 0]))
     grid = data[order, 2].reshape(len(xs), len(ys))
     if np.any(grid <= 0) or not np.all(np.isfinite(grid)):
         raise ValidationError("conductivity CSV contains non-positive or non-finite values")

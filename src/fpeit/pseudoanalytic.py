@@ -202,6 +202,10 @@ def radial_mesh(P: int, S: int, *, rim_grading: float = 1.0,
         except np.linalg.LinAlgError:
             raise ValidationError(f"rim_grading {rim_grading!r} makes the cubic radial stencil "
                                   f"singular at S={S}") from None
+        h = np.diff(t)
+        if not np.max(np.abs(stencil[1].sum(axis=1) - h) / h) <= 1e-12:  # integrates 1 wrongly
+            raise ValidationError(f"rim_grading {rim_grading!r} makes the cubic radial stencil "
+                                  f"inaccurate at S={S}")
 
     gaps = np.diff(np.concatenate([theta, [theta[0] + 2 * math.pi]]))
     bw = 0.5 * (gaps + np.roll(gaps, 1))

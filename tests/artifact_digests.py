@@ -7,7 +7,8 @@ With ``--against BASE.json`` (an earlier output) it prints instead each
 side, and exits 1 if there is any.
 Each preset runs ``solve`` with ``interior`` and ``dump_powers``, ``solve``
 with ``dense_error`` off (unless its dense fit needs the dense error) and
-``verify``. report.json is hashed without ``timings`` and ``wall_time``.
+``verify``, then the first and the last again with ``"rule": "trapezoid"``.
+report.json is hashed without ``timings`` and ``wall_time``.
 """
 import argparse
 import contextlib
@@ -21,7 +22,9 @@ from fpeit.cli import run_solve, run_verify
 from fpeit.presets import PRESET_NAMES, config_from_dict
 
 RUNS = {"solve": (run_solve, {"interior": True, "dump_powers": True}),
-        "cheap": (run_solve, {"dense_error": False}), "verify": (run_verify, {})}
+        "cheap": (run_solve, {"dense_error": False}), "verify": (run_verify, {}),
+        "trapezoid-solve": (run_solve, {"interior": True, "dump_powers": True, "rule": "trapezoid"}),
+        "trapezoid-verify": (run_verify, {"rule": "trapezoid"})}
 
 
 def digest(path: Path) -> str:

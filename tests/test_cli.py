@@ -95,10 +95,11 @@ def test_bad_numeric_config_exits_2(tmp_path, capsys, bad):
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("grading", [7, 8, 20, 1e9, 1e-9])
+@pytest.mark.parametrize("grading", [7, 8, 20, 1e9, 1e-9, 1e-4, 1e-7])
 def test_rim_grading_that_collapses_the_grid_exits_2(tmp_path, capsys, grading):
     # at S = 400 these round radial steps to zero or one ulp, or make the cubic
-    # stencil singular; verify meshes S = 100 and 200, where 7 already collapses
+    # stencil singular or integrate a constant wrongly; verify meshes S = 100 and
+    # 200, where 7 already collapses
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"preset": "sinusoidal", "S": 400, "rim_grading": grading}))
     for command in ("solve", "verify"):
@@ -403,6 +404,21 @@ def test_conductivity_csv_variant(tmp_path):
     field = build_field(cfg)
     assert field.evaluate(0.2, -0.3) == pytest.approx(2.0, rel=1e-12)
     assert run_solve(cfg, tmp_path / "out") == 0
+
+
+def test_conductivity_csv_with_a_repeated_node_exits_2(tmp_path, capsys):
+    path = tmp_path / "sigma.csv"
+    path.write_text("x,y,sigma\n0,0,1\n0,0,5\n0,1,2\n1,0,3\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "conductivity": {"variant": "csv", "path": str(path)},
+        "boundary_data": {"expression": "harmonic-quadratic"},
+        "N": 4, "P": 12, "S": 50, "Q": 100,
+    }))
+    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "repeats the node x=0.0, y=0.0" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("bad_x", ["nan", "inf"])

@@ -287,6 +287,19 @@ def test_conductivity_csv_validation(tmp_path):
         load_conductivity_csv(tmp_path / "missing.csv")
 
 
+def test_conductivity_csv_rejects_a_repeated_node(tmp_path):
+    # (0, 0) twice and (1, 1) left out: the node count matches the 2 x 2 grid, and the
+    # sorted values 1, 5, 2, 3 would fill it permuted (sigma(1, 0) = 2 instead of 3)
+    p = tmp_path / "sigma.csv"
+    p.write_text("x,y,sigma\n0,0,1\n0,0,5\n0,1,2\n1,0,3\n")
+    with pytest.raises(ValidationError, match=r"repeats the node x=0\.0, y=0\.0"):
+        load_conductivity_csv(p)
+    p.write_text("x,y,sigma\n0,0,1\n0,1,2\n1,0,3\n1,1,5\n")
+    field = load_conductivity_csv(p)
+    assert field.evaluate(0.999, 0.0) == pytest.approx(2.998, rel=1e-14)
+    assert field.evaluate(0.0, 0.999) == pytest.approx(1.999, rel=1e-14)
+
+
 GRID_TEXT = "x,y,sigma\r\n-1,-1,2\r\n-1,1,3\r\n1,-1,4\r\n1,1,5\r\n"
 
 

@@ -115,10 +115,11 @@ def test_mesh_rim_grading():
     assert mesh.t[0] == 0.0 and mesh.t[-1] == 1.0
 
 
-@pytest.mark.parametrize("grading", [7.0, 8.0, 1e9, 1e-9])
+@pytest.mark.parametrize("grading", [7.0, 8.0, 1e9, 1e-9, 1e-4, 1e-7])
 def test_mesh_rejects_a_rim_grading_that_collapses_the_grid(grading):
     # 7 and 8 round the last step to one ulp or to zero, 1e9 every step near the rim,
-    # and 1e-9 crowds all but the last node at the centre (a singular cubic stencil)
+    # 1e-9 crowds all but the last node at the centre (a singular cubic stencil), and
+    # 1e-4 and 1e-7 leave cubic weights that integrate a constant off by 2e-9 and 3e-3
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="rim_grading.*S=400"):
