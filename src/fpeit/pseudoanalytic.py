@@ -192,17 +192,17 @@ def radial_mesh(P: int, S: int, *, rim_grading: float = 1.0,
         raise ValidationError(f"rim_grading must be positive, got {rim_grading!r}")
     t = u if g == 1.0 else 1.0 - (1.0 - u) ** g
     t[0], t[-1] = 0.0, 1.0
-    if np.diff(t).min() < np.finfo(float).eps:  # a repeated or one-ulp step next to t = 1
+    h = np.diff(t)
+    if h.min() < np.finfo(float).eps:  # a repeated or one-ulp step next to t = 1
         raise ValidationError(f"rim_grading {rim_grading!r} leaves S={S} radial steps unresolved")
     if rule == "trapezoid":
-        stencil = np.c_[0:S, 1:S + 1], 0.5 * np.c_[np.diff(t), np.diff(t)]
+        stencil = np.c_[0:S, 1:S + 1], 0.5 * np.c_[h, h]
     else:
         try:
             stencil = _cumulative_cubic_weights(t)
         except np.linalg.LinAlgError:
             raise ValidationError(f"rim_grading {rim_grading!r} makes the cubic radial stencil "
                                   f"singular at S={S}") from None
-        h = np.diff(t)
         if not np.max(np.abs(stencil[1].sum(axis=1) - h) / h) <= 1e-12:  # integrates 1 wrongly
             raise ValidationError(f"rim_grading {rim_grading!r} makes the cubic radial stencil "
                                   f"inaccurate at S={S}")

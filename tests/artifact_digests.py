@@ -8,7 +8,8 @@ side, and exits 1 if there is any.
 Each preset runs ``solve`` with ``interior`` and ``dump_powers``, ``solve``
 with ``dense_error`` off (unless its dense fit needs the dense error) and
 ``verify``, then the first and the last again with ``"rule": "trapezoid"``.
-report.json is hashed without ``timings`` and ``wall_time``.
+A run that exits non-zero stops the tool with its name. report.json is
+hashed without ``timings`` and ``wall_time``.
 """
 import argparse
 import contextlib
@@ -47,7 +48,8 @@ for preset in PRESET_NAMES:
         if config.fit_quadrature == "dense" and not config.dense_error:
             continue
         with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(sys.stderr):
-            command(config, out)
+            if command(config, out) != 0:  # a failed verify still writes verify.json
+                sys.exit(f"{preset}:{run} exited non-zero")
             digests[f"{preset}:{run}"] = {p.name: digest(p) for p in sorted(Path(out).iterdir())}
 if args.against is None:
     print(json.dumps(digests, indent=1, sort_keys=True))
