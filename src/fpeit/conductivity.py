@@ -124,64 +124,47 @@ def constant_field(value: float = 1.0) -> AnalyticSeparable:
                              bounds=(v, v))
 
 
-@dataclass(frozen=True)
-class Slab:
-    """One vertical slab [x_lo, x_hi) with sampling line x = chi."""
-
-    x_lo: float
-    x_hi: float
-    chi: float
-    K: float
-    f: Callable  # 1-D interpolant of y, clamped outside the sampled range
-
-    def x_factor(self, x):
-        return (np.asarray(x, float) + self.K) / (self.chi + self.K)
-
-
 class PiecewiseSeparable(ConductivityField):
-    """Slab-wise separable field, sigma = ((x+K)/(chi_j+K)) * f_j(y) on slab j.
+    """Slab-wise separable field, sigma = ((x+K)/(chi[j]+K)) * factors[j](y) on slab j.
 
-    Slabs partition [-1, 1]; each slab is half-open [x_lo, x_hi) except the
-    last, which is closed.
+    Slab j is [edges[j], edges[j+1]), half-open except the last, which is
+    closed; the edges partition [-1, 1], chi[j] is the slab's sampling line and
+    factors[j] its y-interpolant.
     """
 
     variant = "piecewise-separable"
 
-    def __init__(self, slabs: Sequence[Slab], bounds=None):
+    def __init__(self, edges, chi, factors: Sequence[Callable], K: float = 2.0, bounds=None):
         super().__init__(bounds)
-        slabs = tuple(slabs)
-        if not slabs:
-            raise ValidationError("at least one slab required")
-        if abs(slabs[0].x_lo + 1.0) > 1e-12 or abs(slabs[-1].x_hi - 1.0) > 1e-12:
+        edges, chi, factors = np.array(edges, dtype=float), np.array(chi, dtype=float), tuple(factors)
+        if edges.ndim != 1 or len(edges) < 2 or not np.all(np.diff(edges) > 0):
+            raise ValidationError("slab edges must be strictly increasing with at least two entries")
+        if abs(edges[0] + 1.0) > 1e-12 or abs(edges[-1] - 1.0) > 1e-12:
             raise ValidationError("slabs must cover [-1, 1]")
-        for a, b in zip(slabs, slabs[1:]):
-            if abs(a.x_hi - b.x_lo) > 1e-12:
-                raise ValidationError("consecutive slabs must share endpoints")
-        for s in slabs:
-            if not (s.x_lo <= s.chi <= s.x_hi):
-                raise ValidationError(f"sampling line chi={s.chi} outside slab [{s.x_lo}, {s.x_hi}]")
-            if s.K < 2.0 - 1e-12:
-                # x + K must stay away from zero on [-1, 1]; K >= 2 gives x + K >= 1.
-                raise ValidationError(f"slab constant K={s.K} must be >= 2")
-        self.slabs = slabs
-        self._inner_edges = np.array([s.x_hi for s in slabs[:-1]])
+        if chi.shape != (len(edges) - 1,) or len(factors) != len(edges) - 1:
+            raise ValidationError(f"{chi.size} sampling lines and {len(factors)} factors "
+                                  f"for {len(edges) - 1} slabs")
+        outside = np.flatnonzero(~((edges[:-1] <= chi) & (chi <= edges[1:])))
+        if len(outside):
+            j = outside[0]
+            raise ValidationError(f"sampling line chi={chi[j]} outside slab [{edges[j]}, {edges[j + 1]}]")
+        if not K >= 2.0 - 1e-12:
+            # x + K must stay away from zero on [-1, 1]; K >= 2 gives x + K >= 1.
+            raise ValidationError(f"slab constant K={K} must be >= 2")
+        self.edges, self.chi, self.factors, self.K = edges, chi, factors, float(K)
 
     def slab_index(self, x):
-        x = np.asarray(x, float)
-        return np.searchsorted(self._inner_edges, x, side="right")
+        return np.searchsorted(self.edges[1:-1], np.asarray(x, float), side="right")
 
     def separable_parts(self, x, y):
         x, y = _as_float_arrays(x, y)
         j = self.slab_index(x)
-        s1 = np.empty(x.shape, dtype=float)
         s2 = np.empty(x.shape, dtype=float)
-        for k, slab in enumerate(self.slabs):
+        for k, f in enumerate(self.factors):
             m = j == k
-            if not np.any(m):
-                continue
-            s1[m] = slab.x_factor(x[m])
-            s2[m] = slab.f(y[m])
-        return s1, s2
+            if np.any(m):
+                s2[m] = f(y[m])
+        return (x + self.K) / (self.chi[j] + self.K), s2
 
     def _eval(self, x, y):
         s1, s2 = self.separable_parts(x, y)
@@ -194,8 +177,8 @@ def build_piecewise(samples, slab_edges, K: float = 2.0, interpolant: str = "lin
     Parameters
     ----------
     samples:
-        One entry per slab: ``(chi_j, [(y, sigma), ...])`` with the sample
-        ordinates strictly increasing in y and all sigma values positive.
+        One entry per slab: ``(chi_j, ys, sigmas)`` with the sample ordinates
+        ``ys`` strictly increasing and as many positive ``sigmas`` as ``ys``.
     slab_edges:
         Slab boundaries, [-1, ..., 1], strictly increasing.
     K:
@@ -204,31 +187,22 @@ def build_piecewise(samples, slab_edges, K: float = 2.0, interpolant: str = "lin
     interpolant:
         ``"linear"`` (default; positivity-preserving piecewise-linear through
         the samples, clamped to endpoint values outside the sampled range) or
-        ``"cubic"`` (natural cubic spline, also clamped).
+        ``"cubic"`` (not-a-knot cubic spline, also clamped; between samples it
+        can undershoot them, even below zero).
     """
-    edges = np.asarray(slab_edges, dtype=float)
-    if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
-        raise ValidationError("slab_edges must be strictly increasing with at least two entries")
-    if len(samples) != len(edges) - 1:
-        raise ValidationError(f"{len(samples)} sample lines for {len(edges) - 1} slabs")
     if interpolant not in ("linear", "cubic"):
         raise ValidationError(f"unknown interpolant {interpolant!r}")
-
-    slabs = []
-    for j, (chi, pts) in enumerate(samples):
-        pts = list(pts)
-        if len(pts) < 2:
-            raise ValidationError(f"slab {j}: need at least 2 samples, got {len(pts)}")
-        ys = np.array([p[0] for p in pts], dtype=float)
-        vals = np.array([p[1] for p in pts], dtype=float)
+    factors = []
+    for j, (_, ys, sigmas) in enumerate(samples):
+        ys, vals = np.array(ys, dtype=float), np.array(sigmas, dtype=float)
+        if ys.ndim != 1 or ys.shape != vals.shape or len(ys) < 2:
+            raise ValidationError(f"slab {j}: need at least 2 samples, as many ys as sigmas")
         if np.any(np.diff(ys) <= 0):
             raise ValidationError(f"slab {j}: sample ordinates must be strictly increasing in y")
         if np.any(vals <= 0) or not np.all(np.isfinite(vals)):
             raise ValidationError(f"slab {j}: conductivity samples must be positive and finite")
-        f = (_clamped_linear if interpolant == "linear" else _clamped_spline)(ys, vals)
-        slabs.append(Slab(x_lo=float(edges[j]), x_hi=float(edges[j + 1]),
-                          chi=float(chi), K=float(K), f=f))
-    return PiecewiseSeparable(slabs)
+        factors.append((_clamped_linear if interpolant == "linear" else _clamped_spline)(ys, vals))
+    return PiecewiseSeparable(slab_edges, [s[0] for s in samples], factors, K)
 
 
 def _clamped_linear(ys, vals):
@@ -258,14 +232,11 @@ def sample_piecewise(sigma_fn: Callable, M: int, q: int, K: float = 2.0,
     if M < 1 or q < 2:
         raise ValidationError(f"need M >= 1 slabs and q >= 2 samples, got M={M}, q={q}")
     edges = np.linspace(-1.0, 1.0, M + 1)
-    samples = []
-    for j in range(M):
-        chi = 0.5 * (edges[j] + edges[j + 1])
-        ylim = math.sqrt(max(1.0 - chi * chi, 0.0))
-        ys = np.linspace(-ylim, ylim, q)
-        vals = np.asarray(sigma_fn(np.full(q, chi), ys), dtype=float)
-        samples.append((chi, list(zip(ys.tolist(), vals.tolist()))))
-    return build_piecewise(samples, edges, K=K, interpolant=interpolant)
+    chi = 0.5 * (edges[:-1] + edges[1:])
+    ylim = np.sqrt(np.maximum(1.0 - chi * chi, 0.0))
+    ys = np.linspace(-ylim, ylim, q, axis=1)  # (M, q): slab j samples row j
+    sigmas = np.asarray(sigma_fn(np.repeat(chi[:, None], q, axis=1), ys), dtype=float)
+    return build_piecewise(list(zip(chi, ys, sigmas)), edges, K=K, interpolant=interpolant)
 
 
 class LimitCase(ConductivityField):

@@ -210,8 +210,8 @@ def _piecewise(samples, edges, K, interpolant) -> ConductivityField:
 
 
 def _slab_sample(s: dict) -> tuple:
-    """(chi, [(y, sigma), ...]) of a piecewise sample, which holds exactly chi, ys and
-    sigmas: finite numbers, as many ys as sigmas."""
+    """(chi, ys, sigmas) of a piecewise sample, which holds exactly these: finite
+    numbers, as many ys as sigmas."""
     if set(s) != {"chi", "ys", "sigmas"}:
         raise ValueError(f"a sample holds exactly chi, ys and sigmas, got {sorted(s)}")
     ys, sigmas = list(s["ys"]), list(s["sigmas"])
@@ -219,7 +219,7 @@ def _slab_sample(s: dict) -> tuple:
         raise ValueError(f"{len(ys)} ys for {len(sigmas)} sigmas")
     if not all(map(finite, [s["chi"], *ys, *sigmas])):
         raise ValueError(f"a sample entry is not a finite number: {s!r}")
-    return s["chi"], list(zip(ys, sigmas))
+    return s["chi"], ys, sigmas
 
 
 def _source_field(source) -> ConductivityField:

@@ -8,7 +8,9 @@ from fpeit.conductivity import (
     AnnulusShape,
     DiskShape,
     GeometricScene,
+    PiecewiseSeparable,
     PolygonShape,
+    _clamped_linear,
     build_piecewise,
     constant_field,
     eval_radial_piecewise,
@@ -151,14 +153,14 @@ def test_rings_field_matches_profile():
 
 def test_build_piecewise_single_constant_slab():
     # sigma = (x + 2)/2 * 2 = x + 2 exactly
-    field = build_piecewise([(0.0, [(-1.0, 2.0), (1.0, 2.0)])], [-1.0, 1.0], K=2.0)
+    field = build_piecewise([(0.0, [-1.0, 1.0], [2.0, 2.0])], [-1.0, 1.0], K=2.0)
     xs = np.linspace(-0.9, 0.9, 7)
     np.testing.assert_allclose(field.evaluate(xs, np.zeros_like(xs)), xs + 2.0, rtol=1e-15)
 
 
 def test_build_piecewise_factor_is_one_on_sampling_line():
-    samples = [(-0.5, [(-0.8, 3.0), (0.0, 4.0), (0.8, 5.0)]),
-               (0.5, [(-0.8, 1.0), (0.0, 2.0), (0.8, 3.0)])]
+    samples = [(-0.5, [-0.8, 0.0, 0.8], [3.0, 4.0, 5.0]),
+               (0.5, [-0.8, 0.0, 0.8], [1.0, 2.0, 3.0])]
     field = build_piecewise(samples, [-1.0, 0.0, 1.0], K=2.0)
     # on the sampling line the x-factor is exactly 1, so values equal f_j(y)
     assert field.evaluate(-0.5, 0.0) == pytest.approx(4.0, abs=1e-15)
@@ -171,11 +173,47 @@ def test_build_piecewise_factor_is_one_on_sampling_line():
 def test_sampled_piecewise_reproduces_lorentz_product_on_lines():
     sigma = lambda x, y: 1.0 / ((np.asarray(x) ** 2 + 0.1) * (np.asarray(y) ** 2 + 0.1))
     field = sample_piecewise(sigma, M=32, q=32, K=2.0)
-    for slab in field.slabs[3:29:5]:
-        ylim = math.sqrt(1 - slab.chi ** 2)
+    for chi in field.chi[3:29:5]:
+        ylim = math.sqrt(1 - chi ** 2)
         ys = np.linspace(-ylim, ylim, 32)  # the sampling ordinates themselves
-        got = field.evaluate(np.full_like(ys, slab.chi), ys)
-        np.testing.assert_allclose(got, sigma(slab.chi, ys), rtol=1e-13)
+        got = field.evaluate(np.full_like(ys, chi), ys)
+        np.testing.assert_allclose(got, sigma(chi, ys), rtol=1e-13)
+
+
+def test_sample_piecewise_evaluates_the_source_once_on_the_sampling_lines():
+    calls = []
+
+    def sigma(x, y):
+        calls.append((x, y))
+        return 2.0 + x + 0.5 * y
+
+    field = sample_piecewise(sigma, M=4, q=5)
+    assert len(calls) == 1
+    x, y = calls[0]
+    edges = np.linspace(-1.0, 1.0, 5)
+    np.testing.assert_array_equal(field.edges, edges)
+    np.testing.assert_array_equal(field.chi, [-0.75, -0.25, 0.25, 0.75])
+    np.testing.assert_array_equal(x, np.repeat(field.chi[:, None], 5, axis=1))
+    np.testing.assert_array_equal(y[1], np.linspace(-math.sqrt(1 - 0.25 ** 2),
+                                                    math.sqrt(1 - 0.25 ** 2), 5))
+    assert len(field.factors) == 4 and field.K == 2.0
+
+
+def test_build_piecewise_holds_its_edges_and_sampling_lines():
+    samples = [(-0.5, [-0.8, 0.8], [2.0, 3.0]), (0.25, [-0.8, 0.0, 0.8], [3.0, 2.5, 2.0])]
+    field = build_piecewise(samples, [-1, 0, 1], K=3.0)
+    np.testing.assert_array_equal(field.edges, [-1.0, 0.0, 1.0])
+    np.testing.assert_array_equal(field.chi, [-0.5, 0.25])
+    assert field.K == 3.0 and field.edges.dtype == field.chi.dtype == float
+
+
+def test_piecewise_separable_rejects_counts_other_than_the_slab_count():
+    f = _clamped_linear(np.array([-1.0, 1.0]), np.array([1.0, 2.0]))
+    PiecewiseSeparable([-1.0, 0.0, 1.0], [-0.5, 0.5], [f, f])
+    for chi, factors in (([-0.5], [f, f]), ([-0.5, 0.5, 0.9], [f, f]),
+                         ([-0.5, 0.5], [f]), ([-0.5, 0.5], [f, f, f])):
+        with pytest.raises(ValidationError, match="sampling lines .* factors for 2 slabs"):
+            PiecewiseSeparable([-1.0, 0.0, 1.0], chi, factors)
 
 
 def test_sampled_piecewise_limit_consistency():
@@ -193,20 +231,20 @@ def test_sampled_piecewise_limit_consistency():
 
 def test_build_piecewise_validation():
     with pytest.raises(ValidationError):  # fewer than 2 samples
-        build_piecewise([(0.0, [(-1.0, 2.0)])], [-1.0, 1.0])
+        build_piecewise([(0.0, [-1.0], [2.0])], [-1.0, 1.0])
     with pytest.raises(ValidationError):  # non-monotone ordinates
-        build_piecewise([(0.0, [(0.5, 2.0), (-0.5, 2.0)])], [-1.0, 1.0])
+        build_piecewise([(0.0, [0.5, -0.5], [2.0, 2.0])], [-1.0, 1.0])
     with pytest.raises(ValidationError):  # non-positive sample
-        build_piecewise([(0.0, [(-1.0, 2.0), (1.0, -1.0)])], [-1.0, 1.0])
+        build_piecewise([(0.0, [-1.0, 1.0], [2.0, -1.0])], [-1.0, 1.0])
     with pytest.raises(ValidationError):  # slabs must cover [-1, 1]
-        build_piecewise([(0.0, [(-1.0, 2.0), (1.0, 2.0)])], [-0.5, 1.0])
+        build_piecewise([(0.0, [-1.0, 1.0], [2.0, 2.0])], [-0.5, 1.0])
     with pytest.raises(ValidationError):  # K too small
-        build_piecewise([(0.0, [(-1.0, 2.0), (1.0, 2.0)])], [-1.0, 1.0], K=0.5)
+        build_piecewise([(0.0, [-1.0, 1.0], [2.0, 2.0])], [-1.0, 1.0], K=0.5)
 
 
 def test_piecewise_cubic_interpolant_flag():
     ys = np.linspace(-1, 1, 9)
-    samples = [(0.0, list(zip(ys, 2 + np.sin(ys))))]
+    samples = [(0.0, ys, 2 + np.sin(ys))]
     lin = build_piecewise(samples, [-1.0, 1.0], interpolant="linear")
     cub = build_piecewise(samples, [-1.0, 1.0], interpolant="cubic")
     yq = np.linspace(-0.95, 0.95, 101)
