@@ -164,6 +164,12 @@ class PiecewiseSeparable(ConductivityField):
             m = j == k
             if np.any(m):
                 s2[m] = f(y[m])
+        bad = np.flatnonzero(~(np.isfinite(s2) & (s2 > 0)))
+        if len(bad):  # checked before pair_fields takes its square root
+            k = bad[0]
+            raise ValidationError(f"slab {j.flat[k]} y-factor is {float(s2.flat[k])!r} at y="
+                                  f"{float(y.flat[k])!r}, not positive and finite: a cubic "
+                                  f"interpolant can undershoot positive samples, a linear one cannot")
         return (x + self.K) / (self.chi[j] + self.K), s2
 
     def _eval(self, x, y):

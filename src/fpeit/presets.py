@@ -78,6 +78,8 @@ class RunConfig:
             value = getattr(self, key)
             if not finite(value) or value <= 0:
                 raise ValidationError(f"{key} must be a finite number > 0, got {value!r}")
+        if self.fd_h < np.finfo(float).eps:  # x + fd_h rounds to x: a node meets itself
+            raise ValidationError(f"fd_h must be at least machine epsilon, got {self.fd_h!r}")
         for key in ("dense_error", "interior", "dump_powers", "corner_snap"):
             if not isinstance(getattr(self, key), bool):
                 raise ValidationError(f"{key} must be true or false, got {getattr(self, key)!r}")
@@ -91,6 +93,8 @@ class RunConfig:
                              ("fit_quadrature", ("nodes", "dense"))):
             if getattr(self, key) not in allowed:
                 raise ValidationError(f"{key} must be one of {allowed}, got {getattr(self, key)!r}")
+        if self.fit_quadrature == "dense" and not self.dense_error:
+            raise ValidationError("fit_quadrature='dense' requires dense_error")
         if self.drop_tol >= 1:
             raise ValidationError(f"drop_tol must be below 1, got {self.drop_tol!r}")
         if self.N < 1:

@@ -8,8 +8,11 @@ side, and exits 1 if there is any.
 Each preset runs ``solve`` with ``interior`` and ``dump_powers``, ``solve``
 with ``dense_error`` off (unless its dense fit needs the dense error) and
 ``verify``, then the first and the last again with ``"rule": "trapezoid"``.
-A run that exits non-zero stops the tool with its name. report.json is
-hashed without ``timings`` and ``wall_time``.
+The slab construction, which no preset uses, runs the first ``solve`` only
+(``verify`` fails on its fields): ``piecewise-of`` of the lorentzian beta = 0.5
+conductivity at M = 1 and 16 with both interpolants, and the README
+``piecewise`` example. A run that exits non-zero stops the tool with its
+name. report.json is hashed without ``timings`` and ``wall_time``.
 """
 import argparse
 import contextlib
@@ -26,6 +29,18 @@ RUNS = {"solve": (run_solve, {"interior": True, "dump_powers": True}),
         "cheap": (run_solve, {"dense_error": False}), "verify": (run_verify, {}),
         "trapezoid-solve": (run_solve, {"interior": True, "dump_powers": True, "rule": "trapezoid"}),
         "trapezoid-verify": (run_verify, {"rule": "trapezoid"})}
+LORENTZ = {"source": {"variant": "lorentzian", "beta": 0.5}}
+SLABS = {f"piecewise-of-M{M}-{interpolant}": {
+    "conductivity": {"variant": "piecewise-of", **LORENTZ, "M": M, "interpolant": interpolant},
+    "boundary_data": {"case": "lorentzian", "beta": 0.5}}
+    for M in (1, 16) for interpolant in ("linear", "cubic")}
+SLABS["piecewise"] = {
+    "conductivity": {"variant": "piecewise", "edges": [-1, 0, 1], "K": 2.0, "samples": [
+        {"chi": -0.5, "ys": [-0.8, 0.8], "sigmas": [2.0, 3.0]},
+        {"chi": 0.5, "ys": [-0.8, 0.0, 0.8], "sigmas": [3.0, 2.5, 2.0]}]},
+    "boundary_data": {"expression": "shifted-cubic", "beta": 0.0}}
+JOBS = ([(preset, {"preset": preset}, RUNS) for preset in PRESET_NAMES]
+        + [(name, doc, {"solve": RUNS["solve"]}) for name, doc in SLABS.items()])
 
 
 def digest(path: Path) -> str:
@@ -42,15 +57,15 @@ parser.add_argument("--against", metavar="BASE.json",
 args = parser.parse_args()
 
 digests = {}
-for preset in PRESET_NAMES:
-    for run, (command, options) in RUNS.items():
-        config = config_from_dict({"preset": preset, **options})
-        if config.fit_quadrature == "dense" and not config.dense_error:
-            continue
+for name, doc, runs in JOBS:
+    for run, (command, options) in runs.items():
+        if options.get("dense_error") is False and config_from_dict(doc).fit_quadrature == "dense":
+            continue  # a dense fit requires the dense error
+        config = config_from_dict({**doc, **options})
         with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(sys.stderr):
             if command(config, out) != 0:  # a failed verify still writes verify.json
-                sys.exit(f"{preset}:{run} exited non-zero")
-            digests[f"{preset}:{run}"] = {p.name: digest(p) for p in sorted(Path(out).iterdir())}
+                sys.exit(f"{name}:{run} exited non-zero")
+            digests[f"{name}:{run}"] = {p.name: digest(p) for p in sorted(Path(out).iterdir())}
 if args.against is None:
     print(json.dumps(digests, indent=1, sort_keys=True))
     sys.exit(0)

@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -60,7 +61,7 @@ def scene_with(**shape):
 
 
 @pytest.mark.parametrize("bad", [{"N": 2.5}, {"P": "35"}, {"N": True}, {"S": 60.0},
-                                 {"fd_h": 0}, {"rim_grading": -1.0},
+                                 {"fd_h": 0}, {"fd_h": 1e-300}, {"rim_grading": -1.0},
                                  {"drop_tol": float("nan")}, {"drop_tol": -1},
                                  {"drop_tol": "nan"}, {"drop_tol": 1.0},
                                  {"interior": "false"}, {"dense_error": 1},
@@ -71,6 +72,7 @@ def scene_with(**shape):
                                  {"thresholds": {"frobnicate": 1.0}},
                                  {"thresholds": [1e-3]}, {"rule": "simpson"},
                                  {"rule": None}, {"fit_quadrature": "bogus"},
+                                 {"fit_quadrature": "dense", "dense_error": False},
                                  {"conductivity": "disk"}, {"boundary_data": [0.0]},
                                  {"conductivity": scene_with(cx="abc")},
                                  {"conductivity": scene_with(cx=float("nan"))},
@@ -110,6 +112,26 @@ def test_rim_grading_that_collapses_the_grid_exits_2(tmp_path, capsys, grading):
         err = capsys.readouterr().err
         assert "invalid input" in err and "rim_grading" in err and "S=" in err
         assert "Traceback" not in err
+
+
+def test_cubic_slab_factor_below_zero_exits_2(tmp_path, capsys):
+    # the cubic interpolants of disk-0.6's samples undershoot below zero near the
+    # jump; the linear ones of the same samples stay positive
+    conductivity = {"variant": "piecewise-of", "source": scene_with(cx=0.6), "M": 16, "q": 16}
+    doc = {"conductivity": conductivity, "N": 4, "P": 12, "S": 100,
+           "boundary_data": {"expression": "shifted-cubic", "beta": 0.6}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**doc, "conductivity": {**conductivity, "interpolant": "cubic"}}))
+    for command in ("solve", "verify"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert re.search(r"invalid input: slab \d+ y-factor is -", err) and "cubic interpolant" in err
+        assert "Traceback" not in err
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_solve_writes_artifacts(tmp_path):

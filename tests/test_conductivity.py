@@ -242,6 +242,17 @@ def test_build_piecewise_validation():
         build_piecewise([(0.0, [-1.0, 1.0], [2.0, 2.0])], [-1.0, 1.0], K=0.5)
 
 
+def test_piecewise_rejects_a_y_factor_below_zero():
+    ys = np.linspace(-1.0, 1.0, 5)
+    samples = [(-0.5, ys, [1.0, 1.0, 1.0, 1.0, 1.0]), (0.5, ys, [1.0, 1.0, 100.0, 1.0, 1.0])]
+    cub = build_piecewise(samples, [-1.0, 0.0, 1.0], interpolant="cubic")
+    yq = np.linspace(-0.95, 0.95, 39)
+    with pytest.raises(ValidationError, match="slab 1 y-factor is -.* cubic interpolant"):
+        cub.separable_parts(np.full_like(yq, 0.5), yq)
+    lin = build_piecewise(samples, [-1.0, 0.0, 1.0], interpolant="linear")
+    assert np.all(lin.separable_parts(np.full_like(yq, 0.5), yq)[1] >= 1.0)
+
+
 def test_piecewise_cubic_interpolant_flag():
     ys = np.linspace(-1, 1, 9)
     samples = [(0.0, ys, 2 + np.sin(ys))]
