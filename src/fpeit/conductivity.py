@@ -7,7 +7,9 @@ Four model variants are supported:
 * ``PiecewiseSeparable`` -- the slab construction: the disk is cut into
   vertical slabs and sigma restricted to slab j has the separable form
   ((x + K) / (chi_j + K)) * f_j(y), with f_j interpolating conductivity
-  samples collected along the line x = chi_j.
+  samples collected along the line x = chi_j. The field holds the slab
+  edges as one array ``edges``, the sampling lines as ``chi``, the
+  interpolants as ``factors`` and the scalar ``K``.
 * ``LimitCase`` -- an arbitrary positive sampler sigma(x, y) treated as the
   M, q -> infinity limit of the slab construction (the x-factor degenerates
   to 1, which downstream yields a period-1 generating sequence).
@@ -233,13 +235,13 @@ def sample_piecewise(sigma_fn: Callable, M: int, q: int, K: float = 2.0,
 
     Slabs are uniform on [-1, 1]; the sampling line of each slab is its
     midline, and q values are collected along the chord of the disk at that
-    abscissa.
+    abscissa. One call of ``sigma_fn`` takes the (M, q) grid of all samples.
     """
     if M < 1 or q < 2:
         raise ValidationError(f"need M >= 1 slabs and q >= 2 samples, got M={M}, q={q}")
     edges = np.linspace(-1.0, 1.0, M + 1)
     chi = 0.5 * (edges[:-1] + edges[1:])
-    ylim = np.sqrt(np.maximum(1.0 - chi * chi, 0.0))
+    ylim = np.sqrt(1.0 - chi * chi)
     ys = np.linspace(-ylim, ylim, q, axis=1)  # (M, q): slab j samples row j
     sigmas = np.asarray(sigma_fn(np.repeat(chi[:, None], q, axis=1), ys), dtype=float)
     return build_piecewise(list(zip(chi, ys, sigmas)), edges, K=K, interpolant=interpolant)

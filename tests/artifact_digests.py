@@ -29,9 +29,9 @@ RUNS = {"solve": (run_solve, {"interior": True, "dump_powers": True}),
         "cheap": (run_solve, {"dense_error": False}), "verify": (run_verify, {}),
         "trapezoid-solve": (run_solve, {"interior": True, "dump_powers": True, "rule": "trapezoid"}),
         "trapezoid-verify": (run_verify, {"rule": "trapezoid"})}
-LORENTZ = {"source": {"variant": "lorentzian", "beta": 0.5}}
 SLABS = {f"piecewise-of-M{M}-{interpolant}": {
-    "conductivity": {"variant": "piecewise-of", **LORENTZ, "M": M, "interpolant": interpolant},
+    "conductivity": {"variant": "piecewise-of", "source": {"variant": "lorentzian", "beta": 0.5},
+                     "M": M, "interpolant": interpolant},
     "boundary_data": {"case": "lorentzian", "beta": 0.5}}
     for M in (1, 16) for interpolant in ("linear", "cubic")}
 SLABS["piecewise"] = {

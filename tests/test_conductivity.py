@@ -161,7 +161,10 @@ def test_build_piecewise_single_constant_slab():
 def test_build_piecewise_factor_is_one_on_sampling_line():
     samples = [(-0.5, [-0.8, 0.0, 0.8], [3.0, 4.0, 5.0]),
                (0.5, [-0.8, 0.0, 0.8], [1.0, 2.0, 3.0])]
-    field = build_piecewise(samples, [-1.0, 0.0, 1.0], K=2.0)
+    field = build_piecewise(samples, [-1, 0, 1], K=2.0)
+    np.testing.assert_array_equal(field.edges, [-1.0, 0.0, 1.0])
+    np.testing.assert_array_equal(field.chi, [-0.5, 0.5])
+    assert field.edges.dtype == float and field.K == 2.0
     # on the sampling line the x-factor is exactly 1, so values equal f_j(y)
     assert field.evaluate(-0.5, 0.0) == pytest.approx(4.0, abs=1e-15)
     assert field.evaluate(0.5, 0.8) == pytest.approx(3.0, abs=1e-15)
@@ -197,14 +200,6 @@ def test_sample_piecewise_evaluates_the_source_once_on_the_sampling_lines():
     np.testing.assert_array_equal(y[1], np.linspace(-math.sqrt(1 - 0.25 ** 2),
                                                     math.sqrt(1 - 0.25 ** 2), 5))
     assert len(field.factors) == 4 and field.K == 2.0
-
-
-def test_build_piecewise_holds_its_edges_and_sampling_lines():
-    samples = [(-0.5, [-0.8, 0.8], [2.0, 3.0]), (0.25, [-0.8, 0.0, 0.8], [3.0, 2.5, 2.0])]
-    field = build_piecewise(samples, [-1, 0, 1], K=3.0)
-    np.testing.assert_array_equal(field.edges, [-1.0, 0.0, 1.0])
-    np.testing.assert_array_equal(field.chi, [-0.5, 0.25])
-    assert field.K == 3.0 and field.edges.dtype == field.chi.dtype == float
 
 
 def test_piecewise_separable_rejects_counts_other_than_the_slab_count():
