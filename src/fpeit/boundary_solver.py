@@ -176,8 +176,7 @@ def _boundary_samples(data_fn, theta: np.ndarray) -> np.ndarray:
 def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 35,
                     S: int = 400, Q: int = 1000, dense_error: bool = True,
                     rule: str = "cubic", rim_grading: float = 1.0,
-                    corner_angles=(), drop_tol: float = 1e-10,
-                    fit_quadrature: str = "nodes") -> SolveResult:
+                    corner_angles=(), fit_quadrature: str = "nodes") -> SolveResult:
     """Run the full pipeline: mesh, sequence, powers, orthonormal fit, error.
 
     ``data_fn`` maps boundary angles to imposed Dirichlet values. The
@@ -219,7 +218,7 @@ def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 
     timings["build"] = time.monotonic() - t0
 
     t1 = time.monotonic()
-    basis = orthonormalize(system, drop_tol=drop_tol)
+    basis = orthonormalize(system)
     b, fitted = fit_coefficients(basis, data_P)
     timings["fit"] = time.monotonic() - t1
 

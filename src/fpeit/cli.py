@@ -21,7 +21,6 @@ from .boundary_solver import error_norm, reconstruct_interior, solve_dirichlet
 from .errors import DomainError, ValidationError
 from .formal_powers import build_table, pseudoanalyticity_check, rows, write_csv, write_powers_csv
 from .presets import (
-    DEFAULT_THRESHOLDS,
     PRESET_NAMES,
     RunConfig,
     build_boundary_data,
@@ -44,6 +43,16 @@ log = logging.getLogger("fpeit")
 
 # E below this fraction of the data norm is rounding noise, and so is its quadrature gap
 GAP_FLOOR = 1e-12
+
+# verify's standard: its thresholds and the spacing of its finite-difference stencils
+THRESHOLDS = {
+    "divergence": 1e-3,
+    "vekua_ratio": 1.2,          # residual decrease factor under mesh doubling
+    "successor_mesh_ratio": 1.2,
+    "successor_cartesian": 1e-6,
+    "residual_floor": 1e-10,     # below this a residual is rounding noise, no ratio asked
+}
+FD_H = 1e-4
 
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
@@ -70,8 +79,7 @@ def run_solve(config: RunConfig, out_dir) -> int:
     res = solve_dirichlet(field, data_fn, N=config.N, P=config.P, S=config.S,
                           Q=config.Q, dense_error=config.dense_error,
                           rule=config.rule, rim_grading=config.rim_grading,
-                          corner_angles=corners, drop_tol=config.drop_tol,
-                          fit_quadrature=config.fit_quadrature)
+                          corner_angles=corners, fit_quadrature=config.fit_quadrature)
     fit = res.fit
     if config.interior:
         u = reconstruct_interior(res)
@@ -148,9 +156,7 @@ def run_verify(config: RunConfig, out_dir) -> int:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    thresholds = dict(DEFAULT_THRESHOLDS)
-    thresholds.update(config.thresholds)
-    floor = thresholds["residual_floor"]
+    floor = THRESHOLDS["residual_floor"]
     field = build_field(config)
     build_boundary_data(config)  # no oracle reads it, but verify rejects what solve rejects
     case = exact_case_for(config)
@@ -161,11 +167,11 @@ def run_verify(config: RunConfig, out_dir) -> int:
     if smooth:
         pts = interior_points(200, rmax=0.95, seed=0)
         res_h = {h: divergence_residual(case.sigma, case.u, pts, h=h, dtype=np.longdouble)
-                 for h in (1e-3, config.fd_h)}
+                 for h in (1e-3, FD_H)}
         checks["divergence"] = {
             "residuals": {f"{h:g}": r for h, r in res_h.items()},
-            "threshold": thresholds["divergence"],
-            "passed": bool(res_h[config.fd_h] <= thresholds["divergence"]),
+            "threshold": THRESHOLDS["divergence"],
+            "passed": bool(res_h[FD_H] <= THRESHOLDS["divergence"]),
         }
 
     def refined(coarse, fine, need, enforced):
@@ -187,14 +193,14 @@ def run_verify(config: RunConfig, out_dir) -> int:
     succ_mesh = [successor_residual_mesh(sq, m) for m, sq in zip(meshes, seqs)]
 
     limit_gap = limit_construction(field)
-    checks["vekua_per_degree"] = refined(*vekua, thresholds["vekua_ratio"], smooth)
-    checks["successor_mesh"] = refined(*succ_mesh, thresholds["successor_mesh_ratio"],
+    checks["vekua_per_degree"] = refined(*vekua, THRESHOLDS["vekua_ratio"], smooth)
+    checks["successor_mesh"] = refined(*succ_mesh, THRESHOLDS["successor_mesh_ratio"],
                                        not limit_gap)
-    succ_cart = successor_residual(seqs[0], meshes[0], h=config.fd_h)
+    succ_cart = successor_residual(seqs[0], meshes[0], h=FD_H)
     checks["successor_cartesian"] = {
         "residuals": succ_cart,
-        "threshold": None if limit_gap else thresholds["successor_cartesian"],
-        "passed": None if limit_gap else bool(max(succ_cart) <= thresholds["successor_cartesian"]),
+        "threshold": None if limit_gap else THRESHOLDS["successor_cartesian"],
+        "passed": None if limit_gap else bool(max(succ_cart) <= THRESHOLDS["successor_cartesian"]),
         "note": "limit-case gap |2 dx(p)/p|, no smallness expected" if limit_gap else "",
     }
 
@@ -227,14 +233,10 @@ def run_powers(config: RunConfig, out_dir) -> int:
 
 def _config_from_args(args) -> RunConfig:
     if args.config is not None:
-        cfg = load_config(args.config)
-    elif getattr(args, "preset", None):
-        cfg = config_from_dict({"preset": args.preset})
-    else:
-        raise ValidationError("either --config or --preset is required")
-    if getattr(args, "cheap_error", False):
-        cfg.dense_error = False
-    return cfg.validate()
+        return load_config(args.config)
+    if args.preset:
+        return config_from_dict({"preset": args.preset})
+    raise ValidationError("either --config or --preset is required")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,10 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", parents=[common],
                              help="fit boundary data and write CSV artifacts")
     p_solve.add_argument("--out", type=str, default="out", help="output directory")
-    p_solve.add_argument("--cheap-error", action="store_true",
-                         help="measure E on the linear interpolation of the fitted node values "
-                              "instead of rebuilding the fitted trace densely; not a bound on "
-                              "the fit's error")
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run residual oracles and write verify.json")

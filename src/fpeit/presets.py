@@ -37,15 +37,6 @@ TRIANGLE_VERTICES = tuple(
     for r, a in ((0.6, math.pi / 4), (0.35, 3 * math.pi / 4), (0.6, 5 * math.pi / 4))
 )
 
-# verify thresholds; a config's "thresholds" may override any of them
-DEFAULT_THRESHOLDS = {
-    "divergence": 1e-3,
-    "vekua_ratio": 1.2,          # residual decrease factor under mesh doubling
-    "successor_mesh_ratio": 1.2,
-    "successor_cartesian": 1e-6,
-    "residual_floor": 1e-10,     # below this a residual is rounding noise, no ratio asked
-}
-
 
 @dataclass
 class RunConfig:
@@ -60,43 +51,27 @@ class RunConfig:
     Q: int = 1000
     dense_error: bool = True
     fit_quadrature: str = "nodes"
-    corner_snap: bool = True
     dump_powers: bool = False
     interior: bool = False
     rule: str = "cubic"
     rim_grading: float = 1.0
-    drop_tol: float = 1e-10
-    fd_h: float = 1e-4
-    thresholds: dict = dc_field(default_factory=dict)
 
     def validate(self):
         for key in ("N", "P", "S", "Q"):
             value = getattr(self, key)
             if not finite(value, numbers.Integral):
                 raise ValidationError(f"{key} must be an integer, got {value!r}")
-        for key in ("rim_grading", "fd_h", "drop_tol"):
-            value = getattr(self, key)
-            if not finite(value) or value <= 0:
-                raise ValidationError(f"{key} must be a finite number > 0, got {value!r}")
-        if self.fd_h < np.finfo(float).eps:  # x + fd_h rounds to x: a node meets itself
-            raise ValidationError(f"fd_h must be at least machine epsilon, got {self.fd_h!r}")
-        for key in ("dense_error", "interior", "dump_powers", "corner_snap"):
+        if not finite(self.rim_grading) or self.rim_grading <= 0:
+            raise ValidationError(f"rim_grading must be a finite number > 0, got {self.rim_grading!r}")
+        for key in ("dense_error", "interior", "dump_powers"):
             if not isinstance(getattr(self, key), bool):
                 raise ValidationError(f"{key} must be true or false, got {getattr(self, key)!r}")
-        if not isinstance(self.thresholds, dict) or set(self.thresholds) - set(DEFAULT_THRESHOLDS):
-            raise ValidationError(f"thresholds must map keys of {sorted(DEFAULT_THRESHOLDS)} "
-                                  f"to numbers, got {self.thresholds!r}")
-        for key, value in self.thresholds.items():
-            if not finite(value):
-                raise ValidationError(f"thresholds {key} must be a finite number, got {value!r}")
         for key, allowed in (("rule", ("cubic", "trapezoid")),
                              ("fit_quadrature", ("nodes", "dense"))):
             if getattr(self, key) not in allowed:
                 raise ValidationError(f"{key} must be one of {allowed}, got {getattr(self, key)!r}")
         if self.fit_quadrature == "dense" and not self.dense_error:
             raise ValidationError("fit_quadrature='dense' requires dense_error")
-        if self.drop_tol >= 1:
-            raise ValidationError(f"drop_tol must be below 1, got {self.drop_tol!r}")
         if self.N < 1:
             raise ValidationError(f"N must be >= 1, got {self.N}")
         if self.S < 50:
@@ -334,6 +309,11 @@ def build_boundary_data(config: RunConfig):
 
 
 def corner_angles_for(config: RunConfig, field: ConductivityField):
-    if config.corner_snap and isinstance(field, GeometricScene):
+    """The polygon corners of a scene, which its mesh rays snap to; () for other fields.
+
+    ``config`` is unused: every scene snaps. The parameter stays for the callers
+    that pass it.
+    """
+    if isinstance(field, GeometricScene):
         return field.corner_angles()
     return ()

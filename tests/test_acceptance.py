@@ -39,7 +39,7 @@ def run_preset(name, **over):
     res = solve_dirichlet(field, data, N=cfg.N, P=cfg.P, S=cfg.S, Q=cfg.Q,
                           dense_error=cfg.dense_error, rule=cfg.rule,
                           rim_grading=cfg.rim_grading, corner_angles=corners,
-                          drop_tol=cfg.drop_tol, fit_quadrature=cfg.fit_quadrature)
+                          fit_quadrature=cfg.fit_quadrature)
     return res, time.monotonic() - t0
 
 

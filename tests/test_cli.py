@@ -17,7 +17,6 @@ from fpeit.cli import main, run_solve, run_verify
 from fpeit.conductivity import SHAPE_KINDS
 from fpeit.errors import ValidationError
 from fpeit.presets import (
-    DEFAULT_THRESHOLDS,
     PRESET_NAMES,
     build_boundary_data,
     build_field,
@@ -61,16 +60,17 @@ def scene_with(**shape):
 
 
 @pytest.mark.parametrize("bad", [{"N": 2.5}, {"P": "35"}, {"N": True}, {"S": 60.0},
-                                 {"fd_h": 0}, {"fd_h": 1e-300}, {"rim_grading": -1.0},
+                                 # removed keys, named by the unknown-key error
+                                 {"fd_h": 0}, {"fd_h": 1e-300},
                                  {"drop_tol": float("nan")}, {"drop_tol": -1},
-                                 {"drop_tol": "nan"}, {"drop_tol": 1.0},
-                                 {"interior": "false"}, {"dense_error": 1},
-                                 {"dump_powers": None}, {"corner_snap": "yes"},
+                                 {"drop_tol": "nan"}, {"drop_tol": 1.0}, {"corner_snap": "yes"},
                                  {"thresholds": {"divergence": "x"}},
                                  {"thresholds": {"divergence": float("inf")}},
                                  {"thresholds": {"divergence": True}},
                                  {"thresholds": {"frobnicate": 1.0}},
-                                 {"thresholds": [1e-3]}, {"rule": "simpson"},
+                                 {"thresholds": [1e-3]},
+                                 {"rim_grading": -1.0}, {"interior": "false"},
+                                 {"dense_error": 1}, {"dump_powers": None}, {"rule": "simpson"},
                                  {"rule": None}, {"fit_quadrature": "bogus"},
                                  {"fit_quadrature": "dense", "dense_error": False},
                                  {"conductivity": "disk"}, {"boundary_data": [0.0]},
@@ -146,7 +146,8 @@ def test_solve_writes_artifacts(tmp_path):
     assert report["error"] < 1e-10
     assert report["sequence_period"] == 1
     assert 0.0 <= report["diagnostics"]["orthonormality_defect"] <= 1e-10
-    assert cfg.drop_tol < report["diagnostics"]["min_kept_norm_ratio"] <= 1.0
+    # orthonormalize drops a function whose norm ratio falls below 1e-10
+    assert 1e-10 < report["diagnostics"]["min_kept_norm_ratio"] <= 1.0
     # the rings data has no content past degree 3
     assert 0.0 <= report["diagnostics"]["coefficient_tail"] <= 1e-10
     # E sits at the rounding floor, below GAP_FLOOR of the data norm, so its gap is noise
@@ -229,6 +230,14 @@ def test_main_requires_config_or_preset(tmp_path):
     assert main(["solve", "--out", str(tmp_path)]) == 2
 
 
+def test_cheap_error_flag_is_gone(tmp_path, capsys):
+    # the dense_error config key selects the cheap error
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--preset", "constant", "--cheap-error", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cheap-error" in capsys.readouterr().err
+
+
 def test_verify_constant_passes(tmp_path):
     cfg = config_from_dict({"preset": "constant", "P": 24, "S": 80, "N": 6})
     assert run_verify(cfg, tmp_path) == 0
@@ -246,17 +255,16 @@ def test_verify_builds_no_formal_power_table(tmp_path, monkeypatch):
     assert run_verify(cfg, tmp_path) == 0
 
 
-def test_verify_exits_2_when_the_divergence_check_keeps_no_point(tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"preset": "constant", "fd_h": 0.5}))
-    assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+def test_verify_exits_2_when_the_divergence_check_keeps_no_point(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "FD_H", 0.5)
+    assert main(["verify", "--preset", "constant", "--out", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert "h = 0.5" in captured.err and "verify passed" not in captured.out
 
 
-def test_verify_threshold_breach_exits_one(tmp_path):
-    cfg = config_from_dict({"preset": "constant", "P": 24, "S": 80, "N": 6,
-                            "thresholds": {"divergence": 1e-30}})
+def test_verify_threshold_breach_exits_one(tmp_path, monkeypatch):
+    monkeypatch.setitem(cli.THRESHOLDS, "divergence", 1e-30)
+    cfg = config_from_dict({"preset": "constant", "P": 24, "S": 80, "N": 6})
     assert run_verify(cfg, tmp_path) == 1
     doc = json.loads((tmp_path / "verify.json").read_text())
     assert "divergence" in doc["failed"]
@@ -278,24 +286,24 @@ def test_enforced_refinement_families_pass(tmp_path):
     assert len(vekua["residuals"]) == len(vekua["residuals_refined"]) == 7
     # every successor residual is at the rounding floor, so no ratio is asked
     succ = checks["successor_mesh"]
-    assert max(succ["residuals"]) <= DEFAULT_THRESHOLDS["residual_floor"]
+    assert max(succ["residuals"]) <= cli.THRESHOLDS["residual_floor"]
     assert succ["min_ratio"] is None and succ["passed"] is True
     assert succ["threshold_ratio"] == 1.2
 
 
-def test_enforced_refinement_family_fails(tmp_path):
-    code, failed, checks = refinement_families(
-        tmp_path, {"preset": "sinusoidal", "thresholds": {"vekua_ratio": 1e9}})
+def test_enforced_refinement_family_fails(tmp_path, monkeypatch):
+    monkeypatch.setitem(cli.THRESHOLDS, "vekua_ratio", 1e9)
+    code, failed, checks = refinement_families(tmp_path, {"preset": "sinusoidal"})
     vekua = checks["vekua_per_degree"]
     assert code == 1 and failed == ["vekua_per_degree"]
     assert vekua["threshold_ratio"] == 1e9 and vekua["passed"] is False
     assert 1.2 < vekua["min_ratio"] < 1e9
 
 
-def test_unenforced_refinement_families(tmp_path):
+def test_unenforced_refinement_families(tmp_path, monkeypatch):
     # no exact case, and sigma is not separable: both families are reported only
-    code, failed, checks = refinement_families(
-        tmp_path, {"preset": "disk-0.6", "thresholds": {"vekua_ratio": 1e9}})
+    monkeypatch.setitem(cli.THRESHOLDS, "vekua_ratio", 1e9)
+    code, failed, checks = refinement_families(tmp_path, {"preset": "disk-0.6"})
     assert code == 0 and failed == []
     for name in ("vekua_per_degree", "successor_mesh"):
         assert checks[name]["threshold_ratio"] is None and checks[name]["passed"] is None
