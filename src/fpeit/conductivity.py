@@ -377,6 +377,13 @@ def check_keys(spec: dict, allowed, where: str):
                               f"known: {', '.join(allowed)}")
 
 
+def check_list(value, ok, where: str, noun: str):
+    """``value``; raises unless it is a list (or tuple) whose every entry passes ``ok``."""
+    if not (isinstance(value, (list, tuple)) and all(map(ok, value))):
+        raise ValidationError(f"{where} must be a list of {noun}, got {value!r}")
+    return value
+
+
 # a scene shape spec holds "kind" and the fields of its kind's dataclass
 SHAPE_KINDS = {"disk": DiskShape, "annulus": AnnulusShape, "polygon": PolygonShape}
 
@@ -415,7 +422,9 @@ def scene_from_dict(d: dict) -> GeometricScene:
     """
     try:
         background = d["background"]
-        shapes = [_shape_from_dict(s) for s in d.get("shapes", [])]
+        specs = check_list(d.get("shapes", []), lambda s: isinstance(s, dict),
+                           "scene conductivity shapes", "objects")
+        shapes = [_shape_from_dict(s) for s in specs]
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

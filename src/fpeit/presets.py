@@ -21,6 +21,7 @@ from .conductivity import (
     LimitCase,
     build_piecewise,
     check_keys,
+    check_list,
     constant_field,
     finite,
     load_conductivity_csv,
@@ -153,7 +154,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     doc = dict(doc)
     preset = doc.get("preset")
     if preset is not None:
-        if preset not in _PRESETS:
+        if not (isinstance(preset, str) and preset in _PRESETS):
             raise ValidationError(f"unknown preset {preset!r}; known: {', '.join(PRESET_NAMES)}")
         merged = dict(_PRESETS[preset])
         merged.update({k: v for k, v in doc.items() if k != "preset"})
@@ -180,6 +181,8 @@ def load_config(path) -> RunConfig:
 
 
 def _piecewise(samples, edges, K, interpolant) -> ConductivityField:
+    check_list(edges, finite, "piecewise conductivity edges", "finite numbers")
+    check_list(samples, lambda s: isinstance(s, dict), "piecewise conductivity samples", "objects")
     try:
         return build_piecewise([_slab_sample(s) for s in samples], edges, K, interpolant)
     except ValidationError:

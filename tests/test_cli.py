@@ -59,6 +59,13 @@ def scene_with(**shape):
             "shapes": [{k: v for k, v in shape.items() if k in keys}]}
 
 
+def piecewise_with(**over):
+    """The README piecewise conductivity, with ``over`` in place of its keys."""
+    return {"variant": "piecewise", "edges": [-1, 0, 1], "K": 2.0, "samples": [
+        {"chi": -0.5, "ys": [-0.8, 0.8], "sigmas": [2.0, 3.0]},
+        {"chi": 0.5, "ys": [-0.8, 0.0, 0.8], "sigmas": [3.0, 2.5, 2.0]}], **over}
+
+
 @pytest.mark.parametrize("bad", [{"N": 2.5}, {"P": "35"}, {"N": True}, {"S": 60.0},
                                  # removed keys, named by the unknown-key error
                                  {"fd_h": 0}, {"fd_h": 1e-300},
@@ -69,6 +76,7 @@ def scene_with(**shape):
                                  {"thresholds": {"divergence": True}},
                                  {"thresholds": {"frobnicate": 1.0}},
                                  {"thresholds": [1e-3]},
+                                 {"preset": ["constant"]}, {"preset": {"name": "constant"}},
                                  {"rim_grading": -1.0}, {"interior": "false"},
                                  {"dense_error": 1}, {"dump_powers": None}, {"rule": "simpson"},
                                  {"rule": None}, {"fit_quadrature": "bogus"},
@@ -81,6 +89,12 @@ def scene_with(**shape):
                                                              r2_outer=0.1)},
                                  {"conductivity": scene_with(kind="polygon", vertices=[
                                      [0.0, 0.0], [0.5, 0.0, 1.0], [0.0, 0.5]])},
+                                 {"conductivity": piecewise_with(edges=[-1, "0", 1])},
+                                 {"conductivity": piecewise_with(edges=[-1, False, 1])},
+                                 {"conductivity": piecewise_with(
+                                     samples={"chi": 0.0, "ys": [0.0, 0.5], "sigmas": [1, 2]})},
+                                 {"conductivity": {"variant": "scene", "background": 10.0,
+                                                   "shapes": "disk"}},
                                  {"conductivity": {"variant": "constant", "value": "x"}},
                                  {"conductivity": {"variant": "sinusoidal", "omega": "x"}},
                                  {"boundary_data": {"case": "sinusoidal", "omega": "x"}},
