@@ -47,11 +47,15 @@ class OrthonormalBasis:
     norm_ratios: np.ndarray  # (K,) post-projection / original norm of the kept functions
 
 
-def orthonormalize(system: BoundarySystem, drop_tol: float = 1e-10) -> OrthonormalBasis:
+# a function whose post-projection norm falls below this fraction of its own is dropped
+DROP_TOL = 1e-10
+
+
+def orthonormalize(system: BoundarySystem) -> OrthonormalBasis:
     """Classical Gram-Schmidt with one re-orthogonalization pass (CGS2).
 
     Functions are processed in the system order. A function whose
-    post-projection norm falls below ``drop_tol`` times its original norm is
+    post-projection norm falls below ``DROP_TOL`` times its original norm is
     dropped and logged with its residual norm; the ratios of the kept ones
     are recorded in ``norm_ratios``.
     """
@@ -78,7 +82,7 @@ def orthonormalize(system: BoundarySystem, drop_tol: float = 1e-10) -> Orthonorm
                 v = v - c @ U
                 tv = tv - c @ T
         norm = math.sqrt(max(inner_product(v, v, w), 0.0))
-        if norm0 == 0.0 or norm < drop_tol * norm0:
+        if norm0 == 0.0 or norm < DROP_TOL * norm0:
             log.info("dropping raw function label=%d (residual norm %.3e of original %.3e)",
                      system.labels[j], norm, norm0)
             dropped.append((int(system.labels[j]), float(norm)))
@@ -175,7 +179,6 @@ def _boundary_samples(data_fn, theta: np.ndarray) -> np.ndarray:
 
 def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 35,
                     S: int = 400, Q: int = 1000, dense_error: bool = True,
-                    rule: str = "cubic", rim_grading: float = 1.0,
                     corner_angles=(), fit_quadrature: str = "nodes") -> SolveResult:
     """Run the full pipeline: mesh, sequence, powers, orthonormal fit, error.
 
@@ -209,7 +212,7 @@ def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 
                     "the basis will saturate at P functions", P, 2 * N + 1, N)
     timings: dict[str, float] = {}
     t0 = time.monotonic()
-    mesh = radial_mesh(P, S, rim_grading=rim_grading, corner_angles=corner_angles, rule=rule)
+    mesh = radial_mesh(P, S, corner_angles=corner_angles)
     # bad data is rejected before any formal power is built
     data_P = _boundary_samples(data_fn, mesh.theta)
     theta_q = 2.0 * math.pi * np.arange(Q) / Q
@@ -224,7 +227,7 @@ def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 
 
     t2 = time.monotonic()
     if dense_error:
-        mesh_q = radial_mesh(Q, S, rim_grading=rim_grading, rule=rule)
+        mesh_q = radial_mesh(Q, S)
     if fit_quadrature == "dense":
         raw_q = rim_traces(field, mesh_q, N).raw
         b, *_ = np.linalg.lstsq((basis.transform @ raw_q).T, data_q, rcond=None)

@@ -78,7 +78,6 @@ def run_solve(config: RunConfig, out_dir) -> int:
     t0 = time.monotonic()
     res = solve_dirichlet(field, data_fn, N=config.N, P=config.P, S=config.S,
                           Q=config.Q, dense_error=config.dense_error,
-                          rule=config.rule, rim_grading=config.rim_grading,
                           corner_angles=corners, fit_quadrature=config.fit_quadrature)
     fit = res.fit
     if config.interior:
@@ -186,8 +185,7 @@ def run_verify(config: RunConfig, out_dir) -> int:
 
     Nv = min(config.N, 8)
     P1, S1 = config.P, min(config.S, 100)
-    meshes = [radial_mesh(P1, S1, rim_grading=config.rim_grading, rule=config.rule),
-              radial_mesh(2 * P1, 2 * S1, rim_grading=config.rim_grading, rule=config.rule)]
+    meshes = [radial_mesh(P1, S1), radial_mesh(2 * P1, 2 * S1)]
     seqs = [build_sequence(field, m) for m in meshes]
     vekua = [pseudoanalyticity_check(sq, m, Nv) for m, sq in zip(meshes, seqs)]
     succ_mesh = [successor_residual_mesh(sq, m) for m, sq in zip(meshes, seqs)]
@@ -223,8 +221,7 @@ def run_powers(config: RunConfig, out_dir) -> int:
     out.mkdir(parents=True, exist_ok=True)
     field = build_field(config)
     corners = corner_angles_for(config, field)
-    mesh = radial_mesh(config.P, config.S, rim_grading=config.rim_grading,
-                       corner_angles=corners, rule=config.rule)
+    mesh = radial_mesh(config.P, config.S, corner_angles=corners)
     table = build_table(build_sequence(field, mesh), mesh, config.N)
     write_powers_csv(table, out / "powers.csv")
     print(f"wrote powers for N={config.N} on {config.P}x{config.S} mesh -> {out}")

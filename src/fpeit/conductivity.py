@@ -136,8 +136,8 @@ class PiecewiseSeparable(ConductivityField):
 
     variant = "piecewise-separable"
 
-    def __init__(self, edges, chi, factors: Sequence[Callable], K: float = 2.0, bounds=None):
-        super().__init__(bounds)
+    def __init__(self, edges, chi, factors: Sequence[Callable], K: float = 2.0):
+        super().__init__()
         edges, chi, factors = np.array(edges, dtype=float), np.array(chi, dtype=float), tuple(factors)
         if edges.ndim != 1 or len(edges) < 2 or not np.all(np.diff(edges) > 0):
             raise ValidationError("slab edges must be strictly increasing with at least two entries")
@@ -345,16 +345,14 @@ class GeometricScene(ConductivityField):
 
     variant = "scene"
 
-    def __init__(self, background: float, shapes: Sequence, bounds=None):
+    def __init__(self, background: float, shapes: Sequence):
         if not (finite(background) and background > 0):
             raise ValidationError(f"background must be a finite number > 0, got {background!r}")
         for sh in shapes:
             if not (sh.value > 0 and math.isfinite(sh.value)):
                 raise ValidationError(f"shape value must be positive, got {sh.value!r}")
-        if bounds is None:
-            vals = [background] + [sh.value for sh in shapes]
-            bounds = (min(vals), max(vals))
-        super().__init__(bounds)
+        vals = [background] + [sh.value for sh in shapes]
+        super().__init__((min(vals), max(vals)))
         self.background = float(background)
         self.shapes = tuple(shapes)
 

@@ -7,8 +7,7 @@ With ``--against BASE.json`` (an earlier output) it prints instead each
 side, and exits 1 if there is any.
 Each preset runs ``solve`` with ``interior`` and ``dump_powers``, ``solve``
 with ``dense_error`` off (unless its dense fit needs the dense error) and
-``verify``, then the first and the last again with ``"rule": "trapezoid"``.
-The slab construction, which no preset uses, runs the first ``solve`` only
+``verify``. The slab construction, which no preset uses, runs the first ``solve`` only
 (``verify`` fails on its fields): ``piecewise-of`` of the lorentzian beta = 0.5
 conductivity at M = 1 and 16 with both interpolants, and the README
 ``piecewise`` example. A run that exits non-zero stops the tool with its
@@ -26,9 +25,7 @@ from fpeit.cli import run_solve, run_verify
 from fpeit.presets import PRESET_NAMES, config_from_dict
 
 RUNS = {"solve": (run_solve, {"interior": True, "dump_powers": True}),
-        "cheap": (run_solve, {"dense_error": False}), "verify": (run_verify, {}),
-        "trapezoid-solve": (run_solve, {"interior": True, "dump_powers": True, "rule": "trapezoid"}),
-        "trapezoid-verify": (run_verify, {"rule": "trapezoid"})}
+        "cheap": (run_solve, {"dense_error": False}), "verify": (run_verify, {})}
 SLABS = {f"piecewise-of-M{M}-{interpolant}": {
     "conductivity": {"variant": "piecewise-of", "source": {"variant": "lorentzian", "beta": 0.5},
                      "M": M, "interpolant": interpolant},

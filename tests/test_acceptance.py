@@ -37,8 +37,7 @@ def run_preset(name, **over):
     corners = corner_angles_for(cfg, field)
     t0 = time.monotonic()
     res = solve_dirichlet(field, data, N=cfg.N, P=cfg.P, S=cfg.S, Q=cfg.Q,
-                          dense_error=cfg.dense_error, rule=cfg.rule,
-                          rim_grading=cfg.rim_grading, corner_angles=corners,
+                          dense_error=cfg.dense_error, corner_angles=corners,
                           fit_quadrature=cfg.fit_quadrature)
     return res, time.monotonic() - t0
 
