@@ -62,7 +62,7 @@ def orthonormalize(system: BoundarySystem) -> OrthonormalBasis:
     M, P = system.raw.shape
     if P < M:
         log.warning("only %d boundary nodes for %d raw functions; "
-                    "at most %d can survive orthonormalization", P, M, P)
+                    "the basis will saturate at %d functions", P, M, P)
     w = system.weights
     kept_u: list[np.ndarray] = []
     kept_t: list[np.ndarray] = []
@@ -207,9 +207,6 @@ def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 
         raise ValidationError(f"unknown fit_quadrature {fit_quadrature!r}")
     if fit_quadrature == "dense" and not dense_error:
         raise ValidationError("fit_quadrature='dense' requires dense_error")
-    if P < 2 * N + 1:
-        log.warning("P=%d boundary nodes for %d raw functions (2N+1 with N=%d); "
-                    "the basis will saturate at P functions", P, 2 * N + 1, N)
     timings: dict[str, float] = {}
     t0 = time.monotonic()
     mesh = radial_mesh(P, S, corner_angles=corner_angles)

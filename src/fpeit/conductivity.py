@@ -389,8 +389,8 @@ SHAPE_KINDS = {"disk": DiskShape, "annulus": AnnulusShape, "polygon": PolygonSha
 def _shape_from_dict(s: dict):
     """One scene shape: finite numbers in the fields of its kind, enclosing some area."""
     kind = s["kind"]
-    if kind not in SHAPE_KINDS:
-        raise ValidationError(f"unknown shape kind {kind!r}")
+    if not (isinstance(kind, str) and kind in SHAPE_KINDS):
+        raise ValidationError(f"unknown shape kind {kind!r}; known: {', '.join(SHAPE_KINDS)}")
     where, names = f"scene conductivity {kind}", [f.name for f in fields(SHAPE_KINDS[kind])]
     check_keys(s, ("kind", *names), where)
 
@@ -399,8 +399,12 @@ def _shape_from_dict(s: dict):
             raise ValidationError(f"{where} {name} must be a finite number, got {value!r}")
         return float(value)
 
+    def pair(v):
+        return isinstance(v, (list, tuple)) and len(v) == 2
+
     shape = SHAPE_KINDS[kind](**{
-        name: tuple((number(name, vx), number(name, vy)) for vx, vy in s[name])
+        name: tuple((number(name, vx), number(name, vy))
+                    for vx, vy in check_list(s[name], pair, f"{where} {name}", "[x, y] pairs"))
         if name == "vertices" else number(name, s[name]) for name in names})
     if shape.empty():
         raise ValidationError(f"{where} encloses no area: {s!r}")

@@ -300,7 +300,8 @@ def test_solve_warns_when_underresolved(caplog):
     field = constant_field(1.0)
     with caplog.at_level("WARNING"):
         solve_dirichlet(field, lambda th: np.cos(th), N=8, P=9, S=60, Q=100)
-    assert any("saturate" in r.message for r in caplog.records)
+    warned = [r for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warned) == 1 and "saturate" in warned[0].message
 
 
 @pytest.mark.parametrize("field", [SINUSOIDAL.field, scene_from_dict(DISK_SCENE)],

@@ -121,6 +121,30 @@ def test_rule_and_rim_grading_are_fixed():
     assert config.to_dict()["rule"] == "cubic" and config.to_dict()["rim_grading"] == 1.0
 
 
+DISK = {"cx": 0.0, "cy": 0.0, "r2": 0.2, "value": 100.0}
+
+
+@pytest.mark.parametrize("key, shape", [
+    ("kind", {"kind": ["disk"], **DISK}), ("kind", {"kind": {"disk": 1}, **DISK}),
+    ("kind", {"kind": 1, **DISK}),
+    ("vertices", {"kind": "polygon", "vertices": "abc", "value": 100.0}),
+    ("vertices", {"kind": "polygon", "vertices": {"a": 1}, "value": 100.0}),
+    ("vertices", {"kind": "polygon", "vertices": [1, 2, 3], "value": 100.0}),
+    ("vertices", {"kind": "polygon", "vertices": [[0, 0], [0.5, 0, 1], [0, 0.5]], "value": 100.0}),
+    ("vertices", {"kind": "polygon", "vertices": [[0, 0], [0.5, "0"], [0, 0.5]], "value": 100.0})],
+    ids=lambda v: v if isinstance(v, str) else repr(v.get("vertices", v["kind"])))
+def test_scene_shape_of_the_wrong_type_exits_2_naming_the_key(tmp_path, capsys, key, shape):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "N": 2, "P": 6, "S": 50, "boundary_data": {"expression": "shifted-cubic"},
+        "conductivity": {"variant": "scene", "background": 10.0, "shapes": [shape]}}))
+    for command in ("solve", "verify"):
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid input" in err and key in err
+        assert "Traceback" not in err
+
+
 def test_cubic_slab_factor_below_zero_exits_2(tmp_path, capsys):
     # the cubic interpolants of disk-0.6's samples undershoot below zero near the
     # jump; the linear ones of the same samples stay positive
