@@ -7,11 +7,11 @@ With ``--against BASE.json`` (an earlier output) it prints instead each
 side, and exits 1 if there is any.
 Each preset runs ``solve`` with ``interior`` and ``dump_powers``, ``solve``
 with ``dense_error`` off (unless its dense fit needs the dense error) and
-``verify``. The slab construction, which no preset uses, runs the first ``solve`` only
-(``verify`` fails on its fields): ``piecewise-of`` of the lorentzian beta = 0.5
-conductivity at M = 1 and 16 with both interpolants, and the README
-``piecewise`` example. A run that exits non-zero stops the tool with its
-name. report.json is hashed without ``timings`` and ``wall_time``.
+``verify``. The slab construction, which no preset uses, runs the first
+``solve`` only (``verify`` fails on its fields): ``piecewise-of`` of the
+lorentzian beta = 0.5 conductivity at M = 1 and 16 with both interpolants,
+and the README ``piecewise`` example. A run that exits non-zero stops the
+tool with its name. report.json is hashed without ``timings`` and ``wall_time``.
 """
 import argparse
 import contextlib
