@@ -24,7 +24,7 @@ coefficients that depend only on the two pairs involved and the ray span,
 so they are built once per mesh and shared by every seed. The chains of
 all requested seeds are stacked in one state and advance together, one
 blocked quadrature product per degree, with the degree folded into the
-quadrature operator of the mesh's rule (``RadialMesh.quadrature``).
+mesh's ray quadrature operator (``RadialMesh.quadrature``).
 
 Z^(n)(a) is real-linear in the seed a, and so is each pair integral, so a
 combination sum_n Z^(n)(a_n) is one chain of N steps, run by Horner's rule
@@ -111,11 +111,11 @@ def formal_power_fields(seq: GeneratingSequence, mesh: RadialMesh, N: int,
 
 def build_table(seq: GeneratingSequence, mesh: RadialMesh, N: int,
                 rule: str | None = None) -> FormalPowerTable:
-    """Build the full table for seeds 1 and i, both seeds' chains in one pass, by the mesh's rule.
+    """Build the full table for seeds 1 and i, both seeds' chains in one pass.
 
-    ``rule`` stays only because ``perfbench/gate.py`` passes it; it must be None or mesh.rule."""
-    if rule is not None and rule != mesh.rule:
-        raise ValidationError(f"rule {rule!r} is not the mesh's quadrature rule {mesh.rule!r}")
+    ``rule`` stays only because ``perfbench/gate.py`` passes it; it must be None or "cubic"."""
+    if rule is not None and rule != "cubic":
+        raise ValidationError(f"rule {rule!r} is not the mesh's quadrature rule 'cubic'")
     Z1, Zi = _power_tables(seq, mesh, N, (1.0, 1j))
     return FormalPowerTable(N=N, mesh=mesh, Z1=Z1, Zi=Zi)
 

@@ -27,8 +27,10 @@ where (F*, G*) = (-i p, 1/p) is the adjoint pair.
 The pair integral has one kernel, ``_Chains``: a state of real (A, B)
 fields, advanced one pair integral at a time by a blocked ray quadrature.
 The formal-power chains run on it, and ``fg_integral`` is one of its steps.
-The quadrature rule is a property of the mesh: ``radial_mesh`` builds that
-rule's operator once, in the strided chunk form that ``_Chains`` reads.
+The ray quadrature is a property of the mesh: ``radial_mesh`` builds one
+kind of mesh, uniform radial steps integrated by the local-cubic cumulative
+rule, and builds its operator once, in the strided chunk form that
+``_Chains`` reads.
 """
 
 from __future__ import annotations
@@ -69,8 +71,7 @@ class RadialMesh:
     theta: np.ndarray            # (P,) ray angles, sorted, in [0, 2pi)
     t: np.ndarray                # (S+1,) path parameters, 0 = t0 < ... < tS = 1
     boundary_weights: np.ndarray  # (P,) closed-curve trapezoid arc weights
-    rule: str                    # ray quadrature rule, "cubic" or "trapezoid"
-    quadrature: tuple            # (lo, (C, b, width) window-to-prefix-sum maps) of the rule
+    quadrature: tuple            # (lo, (C, b, width) window-to-prefix-sum maps) of the ray rule
 
     @property
     def ray_count(self):
@@ -150,28 +151,29 @@ def _chunk_operator(idx: np.ndarray, w: np.ndarray):
 
 
 def radial_mesh(P: int, S: int, *, rim_grading: float = 1.0,
-                corner_angles: Sequence[float] = (), rule: str = "cubic") -> RadialMesh:
+                corner_angles: Sequence[float] = ()) -> RadialMesh:
     """Build the radial integration mesh of the unit disk about the origin.
+
+    Every ray takes S uniform steps, t = 0, 1/S, ..., 1, and integrates by the
+    local-cubic cumulative rule (``_cumulative_cubic_weights``).
 
     Parameters
     ----------
     P, S:
         Ray count and radial step count.
     rim_grading:
-        1.0 keeps the radial parameters uniform; g > 1 clusters them toward
-        the rim via t = 1 - (1 - u)^g, for conductivities varying sharply
-        near the boundary.
+        Must be 1.0, the uniform steps. It stays only because
+        ``perfbench/gate.py`` passes it; ROADMAP item 8 removes it.
     corner_angles:
         Boundary angles that must coincide with some ray (one nearest ray is
         snapped to each); used to force rays across polygon corners. Two
         distinct angles that pick the same ray are rejected.
-    rule:
-        Ray quadrature of every pair integral on the mesh, "cubic" or "trapezoid".
     """
     if P < 3 or S < 3:
         raise ValidationError(f"mesh needs P >= 3 rays and S >= 3 steps, got P={P}, S={S}")
-    if rule not in ("cubic", "trapezoid"):
-        raise ValidationError(f"unknown quadrature rule {rule!r}")
+    if rim_grading != 1.0:
+        raise ValidationError(f"rim_grading must be 1.0 (uniform radial steps), "
+                              f"got {rim_grading!r}")
 
     theta = 2.0 * math.pi * np.arange(P) / P
     snapped = {}  # ray -> the corner angle it was moved to
@@ -186,31 +188,11 @@ def radial_mesh(P: int, S: int, *, rim_grading: float = 1.0,
     if len(theta) != P:
         raise ValidationError("corner snapping collapsed two rays; increase P or adjust angles")
 
-    u = np.linspace(0.0, 1.0, S + 1)
-    g = float(rim_grading)
-    if g <= 0:
-        raise ValidationError(f"rim_grading must be positive, got {rim_grading!r}")
-    t = u if g == 1.0 else 1.0 - (1.0 - u) ** g
-    t[0], t[-1] = 0.0, 1.0
-    h = np.diff(t)
-    if h.min() < np.finfo(float).eps:  # a repeated or one-ulp step next to t = 1
-        raise ValidationError(f"rim_grading {rim_grading!r} leaves S={S} radial steps unresolved")
-    if rule == "trapezoid":
-        stencil = np.c_[0:S, 1:S + 1], 0.5 * np.c_[h, h]
-    else:
-        try:
-            stencil = _cumulative_cubic_weights(t)
-        except np.linalg.LinAlgError:
-            raise ValidationError(f"rim_grading {rim_grading!r} makes the cubic radial stencil "
-                                  f"singular at S={S}") from None
-        if not np.max(np.abs(stencil[1].sum(axis=1) - h) / h) <= 1e-12:  # integrates 1 wrongly
-            raise ValidationError(f"rim_grading {rim_grading!r} makes the cubic radial stencil "
-                                  f"inaccurate at S={S}")
-
+    t = np.linspace(0.0, 1.0, S + 1)
     gaps = np.diff(np.concatenate([theta, [theta[0] + 2 * math.pi]]))
     bw = 0.5 * (gaps + np.roll(gaps, 1))
-    return RadialMesh(theta=theta, t=t, boundary_weights=bw, rule=rule,
-                      quadrature=_chunk_operator(*stencil))
+    return RadialMesh(theta=theta, t=t, boundary_weights=bw,
+                      quadrature=_chunk_operator(*_cumulative_cubic_weights(t)))
 
 
 # --------------------------------------------------------------------------

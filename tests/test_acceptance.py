@@ -28,6 +28,7 @@ from fpeit.verification import (
     lorentzian_case,
     sinusoidal_case,
 )
+from oracle_meshes import oracle_mesh
 
 
 def run_preset(name, **over):
@@ -185,7 +186,7 @@ def test_criterion_7_structural_identities(sinusoidal_runs):
         coef = rng.normal(size=5) + 1j * rng.normal(size=5)
         errs = []
         for S in (50, 100, 200):
-            mesh = radial_mesh(4, S, rule="trapezoid")
+            mesh = oracle_mesh(4, S, rule="trapezoid")
             pair = GeneratingPair(np.ones(mesh.nodes.shape))
             z = mesh.nodes
             Wp = sum(k * c * z ** (k - 1) for k, c in enumerate(coef) if k >= 1)

@@ -7,8 +7,9 @@ import pytest
 
 from fpeit import cli, formal_powers
 from fpeit.formal_powers import FormalPowerTable, build_table, write_powers_csv
-from fpeit.pseudoanalytic import build_sequence, radial_mesh
+from fpeit.pseudoanalytic import build_sequence
 
+from oracle_meshes import oracle_mesh
 from test_cli import small_rings_config
 
 
@@ -58,7 +59,7 @@ EDGE_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, 3.0, -7.0, 2.0 *
 
 
 def test_powers_csv_matches_the_row_writer_on_edge_values(tmp_path):
-    mesh = radial_mesh(3, 50, rim_grading=2.0)  # uneven steps toward the rim
+    mesh = oracle_mesh(3, 50, rim_grading=2.0)  # uneven steps toward the rim
     N = 2
     shape = (N + 1,) + mesh.nodes.shape
     vals = np.resize(np.array(EDGE_VALUES), 4 * np.prod(shape)).reshape((4,) + shape)

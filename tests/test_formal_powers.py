@@ -28,6 +28,7 @@ from fpeit.formal_powers import (
 from fpeit.presets import build_field, config_from_dict
 from fpeit.pseudoanalytic import GeneratingPair, build_sequence, radial_mesh
 from fpeit.verification import sinusoidal_case
+from oracle_meshes import oracle_mesh
 from test_pseudoanalytic import reference_fg_integral
 
 
@@ -132,9 +133,9 @@ def test_chains_stop_at_their_last_kept_degree(monkeypatch):
     np.testing.assert_array_equal(Z, longer[:6])
 
 
-def reference_formal_power_fields(seq, mesh, N, seed):
+def reference_formal_power_fields(seq, mesh, N, seed, rule="cubic"):
     """The complex chain the stacked real chains replaced: one complex-kernel pair integral
-    per degree."""
+    per degree, by the mesh's ray rule ``rule``."""
     k = seq.period
     out = np.empty((N + 1,) + mesh.nodes.shape, dtype=complex)
     for start in range(min(k, N + 1)):
@@ -142,7 +143,7 @@ def reference_formal_power_fields(seq, mesh, N, seed):
         if start % k == 0:
             out[0] = W
         for d in range(1, N - (N - start) % k + 1):
-            W = d * reference_fg_integral(W, seq.pair_for(start - d), mesh)
+            W = d * reference_fg_integral(W, seq.pair_for(start - d), mesh, rule)
             if (start - d) % k == 0:
                 out[d] = W
     return out
@@ -160,12 +161,12 @@ DISK_SCENE = {"background": 10.0,
 @pytest.mark.parametrize("S, grading", [(60, 1.0), (60, 2.0), (301, 1.0)],
                          ids=["S60", "S60-graded", "S301"])
 def test_stacked_chains_match_complex_chain(field, period, rule, S, grading):
-    mesh = radial_mesh(13, S, rim_grading=grading, rule=rule)
+    mesh = oracle_mesh(13, S, rim_grading=grading, rule=rule)
     seq = build_sequence(field, mesh)
     assert seq.period == period
     table = build_table(seq, mesh, 7)
     for seed, Z in ((1.0, table.Z1), (1j, table.Zi)):
-        ref = reference_formal_power_fields(seq, mesh, 7, seed)
+        ref = reference_formal_power_fields(seq, mesh, 7, seed, rule)
         scale = np.abs(ref).max()
         assert np.abs(Z - ref).max() <= 1e-13 * scale
         assert np.abs(formal_power_fields(seq, mesh, 7, seed) - ref).max() <= 1e-13 * scale
@@ -325,7 +326,7 @@ def reference_boundary_system(table):
                          ids=["150-rays", "40-rays", "150-rays-graded"])
 def test_rim_traces_match_boundary_system(field, period, rays, grading):
     # 150 rays leave a ragged last block, 40 fit in one
-    mesh = radial_mesh(rays, 60, rim_grading=grading)
+    mesh = oracle_mesh(rays, 60, rim_grading=grading)
     seq = build_sequence(field, mesh)
     assert seq.period == period
     system, ref = rim_traces(field, mesh, 6), reference_boundary_system(build_table(seq, mesh, 6))
@@ -357,7 +358,7 @@ def random_fit_coefficients(N, seed=5):
 @pytest.mark.parametrize("N", [6, 7])
 def test_rim_fit_matches_combined_traces(field, period, rule, grading, N):
     # 150 rays leave a ragged last block
-    mesh = radial_mesh(150, 60, rim_grading=grading, rule=rule)
+    mesh = oracle_mesh(150, 60, rim_grading=grading, rule=rule)
     seq = build_sequence(field, mesh)
     assert seq.period == period
     c, a = random_fit_coefficients(N)
@@ -365,7 +366,7 @@ def test_rim_fit_matches_combined_traces(field, period, rule, grading, N):
     fit = fitted_field(field, mesh, N, a)
     assert np.abs(fit[:, -1] - ref).max() <= 1e-13 * np.abs(ref).max()
     # the whole field is the same combination of the table's real parts
-    table = build_table(seq, mesh, N, rule=rule)  # the mesh's own rule is accepted
+    table = build_table(seq, mesh, N)
     ref_field = np.einsum("m,mps->ps", c, np.concatenate([table.Z1.real, table.Zi[1:].real]))
     assert np.abs(fit - ref_field).max() <= 1e-13 * np.abs(ref_field).max()
 
