@@ -61,8 +61,8 @@ def orthonormalize(system: BoundarySystem) -> OrthonormalBasis:
     """
     M, P = system.raw.shape
     if P < M:
-        log.warning("only %d boundary nodes for %d raw functions; "
-                    "the basis will saturate at %d functions", P, M, P)
+        log.info("only %d boundary nodes for %d raw functions; "
+                 "the basis will saturate at %d functions", P, M, P)
     w = system.weights
     kept_u: list[np.ndarray] = []
     kept_t: list[np.ndarray] = []
@@ -207,6 +207,9 @@ def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 
         raise ValidationError(f"unknown fit_quadrature {fit_quadrature!r}")
     if fit_quadrature == "dense" and not dense_error:
         raise ValidationError("fit_quadrature='dense' requires dense_error")
+    if fit_quadrature == "nodes" and P < 2 * N + 1:  # the dense fit does not interpolate
+        log.warning("only %d boundary nodes for %d raw functions; "
+                    "the node fit's basis will saturate at %d functions", P, 2 * N + 1, P)
     timings: dict[str, float] = {}
     t0 = time.monotonic()
     mesh = radial_mesh(P, S, corner_angles=corner_angles)

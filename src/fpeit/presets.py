@@ -202,14 +202,15 @@ def _slab_sample(s: dict) -> tuple:
     return s["chi"], ys, sigmas
 
 
-def _source_field(source) -> ConductivityField:
-    """The field of the nested conductivity spec of piecewise-of and limit-of."""
-    return build_field(config_from_dict({"conductivity": source,
-                                         "boundary_data": {"case": "constant"}}))
+def _conductivity(spec: dict) -> ConductivityField:
+    """The field of a conductivity spec: a config's, or the nested ``source`` of
+    piecewise-of and limit-of."""
+    _, builder, params = resolve_spec("conductivity", spec)
+    return builder(**params)
 
 
 def _limit_of(source) -> LimitCase:
-    src = _source_field(source)
+    src = _conductivity(source)
     return LimitCase(src.evaluate, bounds=src.bounds)
 
 
@@ -241,7 +242,7 @@ SPECS = {
         "csv": (load_conductivity_csv, {"path": None}),
         "piecewise": (_piecewise, {"samples": None, "edges": None, **_SLAB}),
         "piecewise-of": (lambda source, **slab:
-                         sample_piecewise(_source_field(source).evaluate, **slab),
+                         sample_piecewise(_conductivity(source).evaluate, **slab),
                          {"source": None, "M": 16, "q": 16, **_SLAB}),
         "limit-of": (_limit_of, {"source": None})}},
     "boundary_data": {
@@ -292,8 +293,7 @@ def resolve_spec(key: str, spec: dict):
 
 def build_field(config: RunConfig) -> ConductivityField:
     """Instantiate the conductivity field described by the config."""
-    _, builder, params = resolve_spec("conductivity", config.conductivity)
-    return builder(**params)
+    return _conductivity(config.conductivity)
 
 
 def exact_case_for(config: RunConfig) -> ExactCase | None:

@@ -302,6 +302,12 @@ def test_solve_warns_when_underresolved(caplog):
         solve_dirichlet(field, lambda th: np.cos(th), N=8, P=9, S=60, Q=100)
     warned = [r for r in caplog.records if r.levelname == "WARNING"]
     assert len(warned) == 1 and "saturate" in warned[0].message
+    # the dense fit does not interpolate, so its basis does not saturate: INFO only
+    caplog.clear()
+    with caplog.at_level("INFO", logger="fpeit"):
+        solve_dirichlet(field, np.cos, N=8, P=9, S=60, Q=100, fit_quadrature="dense")
+    assert not [r for r in caplog.records if r.levelname == "WARNING"]
+    assert [r for r in caplog.records if r.levelname == "INFO" and "saturate" in r.message]
 
 
 @pytest.mark.parametrize("field", [SINUSOIDAL.field, scene_from_dict(DISK_SCENE)],

@@ -125,7 +125,7 @@ def test_mesh_is_uniform_and_cubic():
 
 
 @pytest.mark.parametrize("grading", [2.0, 6.0, 7.0, 8.0, 20.0, 1e9, 1e-9, 1e-4, 1e-7, 0.0, -1.0,
-                                     math.nan, "1.0"])
+                                     math.nan, pytest.param("1.0", id="string-1.0")])
 def test_mesh_rejects_a_rim_grading_other_than_one(grading):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

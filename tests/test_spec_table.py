@@ -5,11 +5,14 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from fpeit import presets
 from fpeit.cli import main
 from fpeit.conductivity import SHAPE_KINDS
 from fpeit.presets import SPECS, build_boundary_data, build_field, config_from_dict
+from fpeit.verification import lorentzian_case
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 # a spec of one kind of conductivity or boundary data runs with a spec of the other
@@ -95,3 +98,25 @@ def test_a_number_that_is_not_one_exits_2(tmp_path, capsys, config, path, bad):
         err = capsys.readouterr().err
         assert "invalid input" in err and f"{name} must be a finite" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("variant", ["piecewise-of", "limit-of"])
+def test_a_nested_source_is_built_from_its_own_spec(monkeypatch, variant):
+    source = {"variant": "lorentzian", "beta": 0.5}
+    config = config_from_dict({"conductivity": {"variant": variant, "source": source},
+                               "boundary_data": {"case": "lorentzian", "beta": 0.5}})
+    resolved = []
+
+    def counted(key, spec, resolve=presets.resolve_spec):
+        resolved.append(spec)
+        return resolve(key, spec)
+
+    monkeypatch.setattr(presets, "resolve_spec", counted)
+    monkeypatch.setattr(presets, "config_from_dict", None)  # no run config is made for it
+    field = build_field(config)
+    # the outer spec's check resolves the source once, and building it once more
+    assert resolved.count(source) == 2 and len(resolved) == 3
+    if variant == "limit-of":
+        x, y = np.array([0.0, 0.3, -0.5]), np.array([0.0, -0.2, 0.4])
+        expected = lorentzian_case(0.5).field.evaluate(x, y)
+        assert field.evaluate(x, y).tobytes() == expected.tobytes()
