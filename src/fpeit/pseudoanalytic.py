@@ -184,8 +184,8 @@ def radial_mesh(P: int, S: int, *, rim_grading: float = 1.0,
             raise ValidationError(f"corner angles {snapped[k]!r} and {ang!r} both snap to ray "
                                   f"{k}; increase P")
         theta[k] = ang
-    theta = np.unique(theta)
-    if len(theta) != P:
+    theta = np.sort(theta)
+    if not np.all(np.diff(theta)):
         raise ValidationError("corner snapping collapsed two rays; increase P or adjust angles")
 
     t = np.linspace(0.0, 1.0, S + 1)

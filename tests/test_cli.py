@@ -742,6 +742,27 @@ def test_importing_the_cli_loads_no_scipy():
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
+def test_runs_load_no_numpy_random_numpy_ma_or_scipy(tmp_path):
+    # numpy.random costs ~7 MB and numpy.ma ~1.3 MB of every run that imports them;
+    # scipy loads only for cubic piecewise interpolants and CSV conductivities
+    code = f"""
+import sys
+from fpeit.cli import run_powers, run_solve, run_verify
+from fpeit.presets import config_from_dict
+run_verify(config_from_dict({{"preset": "sinusoidal", "N": 4, "P": 12, "S": 50}}), {str(tmp_path)!r})
+run_solve(config_from_dict({{"preset": "triangle", "N": 4, "P": 24, "S": 60, "Q": 100,
+                            "fit_quadrature": "dense"}}), {str(tmp_path)!r})
+run_powers(config_from_dict({{"preset": "constant", "N": 2, "P": 6, "S": 50}}), {str(tmp_path)!r})
+sys.exit(" ".join(m for m in ("numpy.random", "numpy.ma", "scipy") if m in sys.modules) or None)
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *sys.path])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "verify.json").exists() and (tmp_path / "powers.csv").exists()
+
+
 def test_every_exported_name_resolves():
     # the package loads its names lazily through _EXPORTS; a stale entry fails only on use
     import fpeit

@@ -75,6 +75,17 @@ def test_shifted_cubic_is_lorentzian_trace():
     assert u(1.0, 0.5) == pytest.approx((0.4 ** 3 + 0.125) / 3 + 0.1 * 0.9, abs=1e-14)
 
 
+def test_interior_points_are_seeded_and_area_uniform():
+    pts = interior_points(2000, rmax=0.8, seed=0)
+    assert pts.shape == (2000, 2)
+    np.testing.assert_array_equal(pts, interior_points(2000, rmax=0.8, seed=0))
+    assert not np.array_equal(pts, interior_points(2000, rmax=0.8, seed=1))
+    r = np.hypot(pts[:, 0], pts[:, 1])
+    assert r.max() <= 0.8
+    # area-uniform: the inner disk of radius rmax/sqrt(2) holds half the area
+    assert abs(np.mean(r <= 0.8 / math.sqrt(2)) - 0.5) <= 0.05
+
+
 PTS = interior_points(200, rmax=0.95, seed=3)
 
 
