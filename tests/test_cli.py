@@ -736,7 +736,7 @@ def test_importing_the_entry_point_loads_no_numpy():
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # scipy loads only for cubic piecewise interpolants and CSV conductivities
+    # scipy loads only for cubic piecewise interpolants
     code = "import sys, fpeit.cli; sys.exit('scipy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
@@ -744,7 +744,7 @@ def test_importing_the_cli_loads_no_scipy():
 
 def test_runs_load_no_numpy_random_numpy_ma_or_scipy(tmp_path):
     # numpy.random costs ~7 MB and numpy.ma ~1.3 MB of every run that imports them;
-    # scipy loads only for cubic piecewise interpolants and CSV conductivities
+    # scipy loads only for cubic piecewise interpolants
     code = f"""
 import sys
 from fpeit.cli import run_powers, run_solve, run_verify
