@@ -64,39 +64,33 @@ def orthonormalize(system: BoundarySystem) -> OrthonormalBasis:
         log.info("only %d boundary nodes for %d raw functions; "
                  "the basis will saturate at %d functions", P, M, P)
     w = system.weights
-    kept_u: list[np.ndarray] = []
-    kept_t: list[np.ndarray] = []
-    kept_labels: list[int] = []
-    kept_ratios: list[float] = []
+    U, T = np.empty((M, P)), np.empty((M, M))  # the first k rows hold the kept functions
+    kept: list[int] = []
+    ratios: list[float] = []
     dropped: list[tuple[int, float]] = []
     for j in range(M):
+        k = len(kept)
         v = system.raw[j].astype(float).copy()
         tv = np.zeros(M)
         tv[j] = 1.0
         norm0 = math.sqrt(max(inner_product(v, v, w), 0.0))
-        if kept_u:
-            U = np.asarray(kept_u)
-            T = np.asarray(kept_t)
-            for _ in range(2):  # CGS, every coefficient from the same v, then once more
-                c = U @ (w * v)
-                v = v - c @ U
-                tv = tv - c @ T
+        for _ in range(2):  # CGS, every coefficient from the same v, then once more
+            c = U[:k] @ (w * v)
+            v = v - c @ U[:k]
+            tv = tv - c @ T[:k]
         norm = math.sqrt(max(inner_product(v, v, w), 0.0))
         if norm0 == 0.0 or norm < DROP_TOL * norm0:
             log.info("dropping raw function label=%d (residual norm %.3e of original %.3e)",
                      system.labels[j], norm, norm0)
             dropped.append((int(system.labels[j]), float(norm)))
             continue
-        kept_u.append(v / norm)
-        kept_t.append(tv / norm)
-        kept_labels.append(int(system.labels[j]))
-        kept_ratios.append(norm / norm0)
-    return OrthonormalBasis(theta=system.theta, weights=w,
-                            functions=np.asarray(kept_u),
-                            transform=np.asarray(kept_t),
-                            labels=np.asarray(kept_labels, dtype=int),
-                            dropped=tuple(dropped),
-                            norm_ratios=np.asarray(kept_ratios))
+        U[k], T[k] = v / norm, tv / norm
+        kept.append(j)
+        ratios.append(norm / norm0)
+    k = len(kept)
+    return OrthonormalBasis(theta=system.theta, weights=w, functions=U[:k], transform=T[:k],
+                            labels=system.labels[kept], dropped=tuple(dropped),
+                            norm_ratios=np.asarray(ratios))
 
 
 @dataclass(frozen=True)
@@ -178,41 +172,37 @@ def _boundary_samples(data_fn, theta: np.ndarray) -> np.ndarray:
 
 
 def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 35,
-                    S: int = 400, Q: int = 1000, dense_error: bool = True,
-                    corner_angles=(), fit_quadrature: str = "nodes") -> SolveResult:
+                    S: int = 400, Q: int = 1000, dense_error: bool = True) -> SolveResult:
     """Run the full pipeline: mesh, sequence, powers, orthonormal fit, error.
 
-    ``data_fn`` maps boundary angles to imposed Dirichlet values. The
-    residual norm is integrated on Q equally spaced boundary points; with
-    ``dense_error`` (default) the fitted trace is re-evaluated there on a
-    Q-ray mesh (``fitted_field``: one Horner chain per ray block), otherwise it
-    is upsampled from the fit nodes by periodic linear interpolation. That
-    cheap E measures the interpolation of the fitted node values, and is
-    neither a lower nor an upper bound on the error of the fit.
+    ``data_fn`` maps boundary angles to imposed Dirichlet values. The mesh
+    snaps a ray to each of ``field.corner_angles()``. The residual norm is
+    integrated on Q equally spaced boundary points.
 
-    ``fit_quadrature`` selects where the coefficients are determined:
-    ``"nodes"`` projects onto the orthonormal basis at the P fit nodes;
-    ``"dense"`` solves the least-squares problem against the Q-point dense
-    traces instead, which discretizes the boundary-integral fit criterion
-    directly, from every raw trace rebuilt on the Q-ray mesh (``rim_traces``).
-    The dense fit matters when P barely resolves the degrees in play (an
-    interpolatory node fit can hide aliased high-degree content between the
-    nodes); it requires ``dense_error``.
+    With P >= 2N+1 the coefficients project the data onto the orthonormal
+    basis at the P fit nodes. With ``dense_error`` (default) the fitted trace
+    is then re-evaluated on a Q-ray mesh (``fitted_field``: one Horner chain
+    per ray block), otherwise it is upsampled from the fit nodes by periodic
+    linear interpolation. That cheap E measures the interpolation of the
+    fitted node values, and is neither a lower nor an upper bound on the
+    error of the fit.
+
+    With P < 2N+1 a node fit would interpolate a basis cut short by the node
+    count and hide aliased high-degree content between the nodes. The
+    coefficients then solve the least-squares problem against the Q-point
+    traces of every raw function, rebuilt on the Q-ray mesh (``rim_traces``),
+    which discretizes the boundary-integral fit criterion directly; E is
+    measured on those traces whatever ``dense_error`` says.
     """
     if N < 1:
         raise ValidationError(f"N must be >= 1, got {N}")
     if Q < P:
         raise ValidationError(f"Q={Q} must be at least P={P}")
-    if fit_quadrature not in ("nodes", "dense"):
-        raise ValidationError(f"unknown fit_quadrature {fit_quadrature!r}")
-    if fit_quadrature == "dense" and not dense_error:
-        raise ValidationError("fit_quadrature='dense' requires dense_error")
-    if fit_quadrature == "nodes" and P < 2 * N + 1:  # the dense fit does not interpolate
-        log.warning("only %d boundary nodes for %d raw functions; "
-                    "the node fit's basis will saturate at %d functions", P, 2 * N + 1, P)
+    node_fit = P >= 2 * N + 1
+    dense_error = dense_error or not node_fit
     timings: dict[str, float] = {}
     t0 = time.monotonic()
-    mesh = radial_mesh(P, S, corner_angles=corner_angles)
+    mesh = radial_mesh(P, S, corner_angles=field.corner_angles())
     # bad data is rejected before any formal power is built
     data_P = _boundary_samples(data_fn, mesh.theta)
     theta_q = 2.0 * math.pi * np.arange(Q) / Q
@@ -228,7 +218,7 @@ def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 
     t2 = time.monotonic()
     if dense_error:
         mesh_q = radial_mesh(Q, S)
-    if fit_quadrature == "dense":
+    if not node_fit:
         raw_q = rim_traces(field, mesh_q, N).raw
         b, *_ = np.linalg.lstsq((basis.transform @ raw_q).T, data_q, rcond=None)
         fitted = b @ basis.functions
@@ -237,7 +227,7 @@ def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 
     c_full = np.zeros(2 * N + 2)
     c_full[system.labels] = c
     seeds = c_full[:N + 1] + 1j * c_full[N + 1:]
-    if fit_quadrature == "dense":
+    if not node_fit:
         fit_q = c @ raw_q
     elif dense_error:
         fit_q = fitted_field(field, mesh_q, N, seeds, rim=True)

@@ -39,8 +39,6 @@ from .pseudoanalytic import (
 )
 from .verification import divergence_residual, interior_points
 
-log = logging.getLogger("fpeit")
-
 # E below this fraction of the data norm is rounding noise, and so is its quadrature gap
 GAP_FLOOR = 1e-12
 
@@ -74,11 +72,9 @@ def run_solve(config: RunConfig, out_dir) -> int:
     out.mkdir(parents=True, exist_ok=True)
     field = build_field(config)
     data_fn = build_boundary_data(config)
-    corners = corner_angles_for(config, field)
     t0 = time.monotonic()
     res = solve_dirichlet(field, data_fn, N=config.N, P=config.P, S=config.S,
-                          Q=config.Q, dense_error=config.dense_error,
-                          corner_angles=corners, fit_quadrature=config.fit_quadrature)
+                          Q=config.Q, dense_error=config.dense_error)
     fit = res.fit
     if config.interior:
         u = reconstruct_interior(res)
@@ -110,8 +106,7 @@ def run_solve(config: RunConfig, out_dir) -> int:
         # how many digits of E are quadrature error
         "error_quadrature_gap": gap,
         # one kept function per fit node, so the node fit interpolates the data
-        "basis_saturated": (config.fit_quadrature == "nodes"
-                            and len(res.basis.labels) == len(res.basis.theta)),
+        "basis_saturated": len(res.basis.labels) == config.P == 2 * config.N + 1,
         # sigma is not separable: its period-1 sequence only approximates the reduction
         "limit_construction": limit_construction(field),
     }

@@ -92,6 +92,10 @@ class ConductivityField:
                 raise ValidationError(f"{self.variant} value escapes declared bounds {self.bounds}")
         return float(out[0]) if scalar else out.reshape(x.shape)
 
+    def corner_angles(self):
+        """Polar angles of the corners that mesh rays must cross; none by default."""
+        return ()
+
 
 class AnalyticSeparable(ConductivityField):
     """sigma(x, y) = sigma1(x) * sigma2(y), both factors positive on [-1, 1]."""

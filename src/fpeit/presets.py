@@ -17,7 +17,6 @@ import numpy as np
 from .boundary_solver import upsample_periodic_linear
 from .conductivity import (
     ConductivityField,
-    GeometricScene,
     LimitCase,
     build_piecewise,
     check_keys,
@@ -51,7 +50,6 @@ class RunConfig:
     S: int = 400
     Q: int = 1000
     dense_error: bool = True
-    fit_quadrature: str = "nodes"
     dump_powers: bool = False
     interior: bool = False
     # fixed, not settable: perfbench/gate.py reads both until ROADMAP item 8 drops its reads
@@ -66,11 +64,6 @@ class RunConfig:
         for key in ("dense_error", "interior", "dump_powers"):
             if not isinstance(getattr(self, key), bool):
                 raise ValidationError(f"{key} must be true or false, got {getattr(self, key)!r}")
-        if self.fit_quadrature not in ("nodes", "dense"):
-            raise ValidationError(f"fit_quadrature must be one of ('nodes', 'dense'), "
-                                  f"got {self.fit_quadrature!r}")
-        if self.fit_quadrature == "dense" and not self.dense_error:
-            raise ValidationError("fit_quadrature='dense' requires dense_error")
         if self.N < 1:
             raise ValidationError(f"N must be >= 1, got {self.N}")
         if self.S < 50:
@@ -137,7 +130,6 @@ _PRESETS: dict[str, dict] = {
         "N": 32,
         "P": 61,
         "S": 300,
-        "fit_quadrature": "dense",
     },
     "constant": {
         "conductivity": {"variant": "constant", "value": 1.0},
@@ -310,11 +302,8 @@ def build_boundary_data(config: RunConfig):
 
 
 def corner_angles_for(config: RunConfig, field: ConductivityField):
-    """The polygon corners of a scene, which its mesh rays snap to; () for other fields.
+    """The corners that the mesh rays of ``field`` snap to: ``field.corner_angles()``.
 
-    ``config`` is unused: every scene snaps. The parameter stays for the callers
-    that pass it.
+    ``config`` is unused. The parameter stays for the callers that pass it.
     """
-    if isinstance(field, GeometricScene):
-        return field.corner_angles()
-    return ()
+    return field.corner_angles()

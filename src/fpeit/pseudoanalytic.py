@@ -36,7 +36,6 @@ rule, and builds its operator once, in the strided chunk form that
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -46,8 +45,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .conductivity import AnalyticSeparable, ConductivityField, PiecewiseSeparable
 from .errors import NumericalError, ValidationError
-
-log = logging.getLogger(__name__)
 
 RIM_TOL = 1e-12
 CHUNK = 16  # intervals per block of the cumulative ray quadrature

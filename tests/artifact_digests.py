@@ -6,12 +6,12 @@ With ``--against BASE.json`` (an earlier output) it prints instead each
 ``run artifact`` whose digest differs from BASE, or is missing from either
 side, and exits 1 if there is any.
 Each preset runs ``solve`` with ``interior`` and ``dump_powers``, ``solve``
-with ``dense_error`` off (unless its dense fit needs the dense error) and
-``verify``. The slab construction, which no preset uses, runs the first
-``solve`` only (``verify`` fails on its fields): ``piecewise-of`` of the
-lorentzian beta = 0.5 conductivity at M = 1 and 16 with both interpolants,
-and the README ``piecewise`` example. A run that exits non-zero stops the
-tool with its name. report.json is hashed without ``timings`` and ``wall_time``.
+with ``dense_error`` off and ``verify``. The slab construction, which no
+preset uses, runs the first ``solve`` only (``verify`` fails on its fields):
+``piecewise-of`` of the lorentzian beta = 0.5 conductivity at M = 1 and 16
+with both interpolants, and the README ``piecewise`` example. A run that
+exits non-zero stops the tool with its name. report.json is hashed without
+``timings`` and ``wall_time``.
 """
 import argparse
 import contextlib
@@ -56,8 +56,6 @@ args = parser.parse_args()
 digests = {}
 for name, doc, runs in JOBS:
     for run, (command, options) in runs.items():
-        if options.get("dense_error") is False and config_from_dict(doc).fit_quadrature == "dense":
-            continue  # a dense fit requires the dense error
         config = config_from_dict({**doc, **options})
         with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(sys.stderr):
             if command(config, out) != 0:  # a failed verify still writes verify.json

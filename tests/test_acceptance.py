@@ -14,7 +14,7 @@ import pytest
 from fpeit.boundary_solver import solve_dirichlet
 from fpeit.conductivity import constant_field
 from fpeit.formal_powers import build_table, formal_power_fields
-from fpeit.presets import build_boundary_data, build_field, config_from_dict, corner_angles_for
+from fpeit.presets import build_boundary_data, build_field, config_from_dict
 from fpeit.pseudoanalytic import (
     GeneratingPair,
     build_sequence,
@@ -35,11 +35,9 @@ def run_preset(name, **over):
     cfg = config_from_dict({"preset": name, **over})
     field = build_field(cfg)
     data = build_boundary_data(cfg)
-    corners = corner_angles_for(cfg, field)
     t0 = time.monotonic()
     res = solve_dirichlet(field, data, N=cfg.N, P=cfg.P, S=cfg.S, Q=cfg.Q,
-                          dense_error=cfg.dense_error, corner_angles=corners,
-                          fit_quadrature=cfg.fit_quadrature)
+                          dense_error=cfg.dense_error)
     return res, time.monotonic() - t0
 
 

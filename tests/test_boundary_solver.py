@@ -24,7 +24,7 @@ from fpeit.conductivity import (
 )
 from fpeit.errors import ValidationError
 from fpeit.formal_powers import RAY_BLOCK, build_table, rim_traces
-from fpeit.presets import build_boundary_data, build_field, config_from_dict, corner_angles_for
+from fpeit.presets import build_boundary_data, build_field, config_from_dict
 from fpeit.pseudoanalytic import build_sequence, radial_mesh
 from fpeit.verification import shifted_cubic, sinusoidal_case
 
@@ -202,12 +202,10 @@ def reference_reconstruct_interior(res):
 
 
 def triangle_solve():
-    # corner-snapped rays and the dense fit, which drops functions at N = 32
+    # corner-snapped rays and, at P = 61 < 2N+1, the dense fit, which drops functions at N = 32
     cfg = config_from_dict({"preset": "triangle"})
-    field = build_field(cfg)
-    return solve_dirichlet(field, build_boundary_data(cfg), N=cfg.N, P=cfg.P, S=100, Q=200,
-                           corner_angles=corner_angles_for(cfg, field),
-                           fit_quadrature=cfg.fit_quadrature)
+    return solve_dirichlet(build_field(cfg), build_boundary_data(cfg), N=cfg.N, P=cfg.P,
+                           S=100, Q=200)
 
 
 SINUSOIDAL = sinusoidal_case(math.pi)
@@ -290,30 +288,43 @@ def test_solve_validation():
         solve_dirichlet(field, data, N=0)
     with pytest.raises(ValidationError):
         solve_dirichlet(field, data, N=3, P=64, Q=32)
-    with pytest.raises(ValidationError):
-        solve_dirichlet(field, data, N=3, fit_quadrature="dense", dense_error=False)
-    with pytest.raises(ValidationError):
-        solve_dirichlet(field, data, N=3, fit_quadrature="median")
+    # the fit and the corner rays follow from the inputs; no keyword selects them
+    for retired in ({"fit_quadrature": "dense"}, {"corner_angles": (0.1,)}):
+        with pytest.raises(TypeError):
+            solve_dirichlet(field, data, N=3, **retired)
 
 
 def test_solve_warns_when_underresolved(caplog):
+    # P < 2N+1 takes the dense fit, which does not interpolate: INFO only
     field = constant_field(1.0)
-    with caplog.at_level("WARNING"):
-        solve_dirichlet(field, lambda th: np.cos(th), N=8, P=9, S=60, Q=100)
-    warned = [r for r in caplog.records if r.levelname == "WARNING"]
-    assert len(warned) == 1 and "saturate" in warned[0].message
-    # the dense fit does not interpolate, so its basis does not saturate: INFO only
-    caplog.clear()
     with caplog.at_level("INFO", logger="fpeit"):
-        solve_dirichlet(field, np.cos, N=8, P=9, S=60, Q=100, fit_quadrature="dense")
+        solve_dirichlet(field, np.cos, N=8, P=9, S=60, Q=100)
     assert not [r for r in caplog.records if r.levelname == "WARNING"]
     assert [r for r in caplog.records if r.levelname == "INFO" and "saturate" in r.message]
 
 
+def test_solve_fits_on_the_dense_traces_when_the_nodes_cut_the_basis_short():
+    # at N = 20 the P = 35 nodes hold 35 of the 41 raw functions; a node fit reads E = 0.49
+    res = solve_dirichlet(SINUSOIDAL.field, SINUSOIDAL.boundary_data, N=20, P=35, S=200)
+    assert len(res.basis.labels) == 35
+    assert res.fit.error <= 1e-3
+    assert res.fit.error_fit_nodes > 1e-12  # no interpolation of the data at the nodes
+
+
+def test_solve_snaps_a_ray_to_each_corner_of_the_field():
+    # no uniform ray of the preset's P = 61 meets a corner of the triangle
+    cfg = config_from_dict({"preset": "triangle"})
+    field = build_field(cfg)
+    res = solve_dirichlet(field, build_boundary_data(cfg), N=4, P=cfg.P, S=60, Q=100)
+    assert len(field.corner_angles()) == 3
+    for angle in field.corner_angles():
+        assert angle in res.mesh.theta
+
+
 @pytest.mark.parametrize("field", [SINUSOIDAL.field, scene_from_dict(DISK_SCENE)],
                          ids=["sinusoidal", "disk-scene"])
-@pytest.mark.parametrize("fit_quadrature", ["nodes", "dense"])
-def test_solve_samples_sigma_one_ray_block_at_a_time(monkeypatch, field, fit_quadrature):
+@pytest.mark.parametrize("P", [35, 9], ids=["nodes", "dense"])  # P < 2N+1: the dense fit
+def test_solve_samples_sigma_one_ray_block_at_a_time(monkeypatch, field, P):
     # the Q-ray mesh is never materialized: no call sees more nodes than one block's
     sizes = []
     for cls, name in ((ConductivityField, "evaluate"), (AnalyticSeparable, "separable_parts"),
@@ -323,15 +334,14 @@ def test_solve_samples_sigma_one_ray_block_at_a_time(monkeypatch, field, fit_qua
             return real(self, x, y)
         monkeypatch.setattr(cls, name, counted)
     S = 60
-    solve_dirichlet(field, np.cos, N=8, P=35, S=S, Q=1000, fit_quadrature=fit_quadrature)
+    solve_dirichlet(field, np.cos, N=8, P=P, S=S, Q=1000)
     assert sizes and max(sizes) <= RAY_BLOCK * (S + 1)
 
 
-WORKER_CASES = {  # period 2, period 1, the dense fit
-    "sinusoidal": dict(field=SINUSOIDAL.field, data_fn=SINUSOIDAL.boundary_data),
-    "disk-scene": dict(field=scene_from_dict(DISK_SCENE), data_fn=np.cos),
-    "dense-fit": dict(field=SINUSOIDAL.field, data_fn=SINUSOIDAL.boundary_data,
-                      fit_quadrature="dense"),
+WORKER_CASES = {  # period 2, period 1, the dense fit of P < 2N+1
+    "sinusoidal": dict(field=SINUSOIDAL.field, data_fn=SINUSOIDAL.boundary_data, P=35),
+    "disk-scene": dict(field=scene_from_dict(DISK_SCENE), data_fn=np.cos, P=35),
+    "dense-fit": dict(field=SINUSOIDAL.field, data_fn=SINUSOIDAL.boundary_data, P=9),
 }
 
 
@@ -340,7 +350,7 @@ def test_solve_does_not_depend_on_the_worker_count(monkeypatch, case):
     runs = []
     for workers in ("1", "2"):
         monkeypatch.setenv("OMP_NUM_THREADS", workers)
-        runs.append(solve_dirichlet(**WORKER_CASES[case], N=8, P=35, S=60, Q=150))
+        runs.append(solve_dirichlet(**WORKER_CASES[case], N=8, S=60, Q=150))
     one, two = runs
     np.testing.assert_array_equal(one.fit_dense, two.fit_dense)
     np.testing.assert_array_equal(one.fit.coefficients, two.fit.coefficients)

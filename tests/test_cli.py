@@ -79,10 +79,10 @@ def piecewise_with(**over):
                                  {"thresholds": [1e-3]},
                                  {"rule": "cubic"}, {"rule": "simpson"}, {"rule": None},
                                  {"rim_grading": 1.0}, {"rim_grading": -1.0},
-                                 {"preset": ["constant"]}, {"preset": {"name": "constant"}},
-                                 {"interior": "false"}, {"dense_error": 1}, {"dump_powers": None},
                                  {"fit_quadrature": "bogus"},
                                  {"fit_quadrature": "dense", "dense_error": False},
+                                 {"preset": ["constant"]}, {"preset": {"name": "constant"}},
+                                 {"interior": "false"}, {"dense_error": 1}, {"dump_powers": None},
                                  {"conductivity": "disk"}, {"boundary_data": [0.0]},
                                  {"conductivity": scene_with(cx="abc")},
                                  {"conductivity": scene_with(cx=float("nan"))},
@@ -196,15 +196,15 @@ def test_solve_writes_artifacts(tmp_path):
 
 
 def test_basis_saturated_marks_an_interpolating_node_fit(tmp_path):
-    # 2N+1 = 35 functions on the P = 35 nodes of sinusoidal; 17 with N = 8; the dense
-    # fit solves on the Q points, so its node residual stays informative
-    cases = (({}, True), ({"N": 8}, False), ({"fit_quadrature": "dense"}, False))
-    for k, (overrides, saturated) in enumerate(cases):
+    # 2N+1 = 35 functions on the P = 35 nodes of sinusoidal; 17 with N = 8; P = 34 < 2N+1
+    # takes the dense fit, which solves on the Q points, so its node residual stays informative
+    cases = (({}, True, 35), ({"N": 8}, False, 17), ({"P": 34}, False, 34))
+    for k, (overrides, saturated, size) in enumerate(cases):
         cfg = config_from_dict({"preset": "sinusoidal", **overrides})
         assert run_solve(cfg, tmp_path / str(k)) == 0
         report = json.loads((tmp_path / str(k) / "report.json").read_text())
         assert report["diagnostics"]["basis_saturated"] is saturated
-        assert report["basis_size"] == min(2 * cfg.N + 1, cfg.P) == (17 if k == 1 else 35)
+        assert report["basis_size"] == min(2 * cfg.N + 1, cfg.P) == size
         if saturated:
             assert report["error_fit_nodes"] < 1e-12 < report["error"]
         else:
@@ -539,11 +539,12 @@ def test_overflowing_beta_exits_2(tmp_path, capsys, spec, commands):
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("preset", ["triangle", "constant"], ids=["dense-fit", "node-fit"])
-def test_non_finite_boundary_data_exits_2(tmp_path, capsys, preset):
+@pytest.mark.parametrize("preset, N", [("triangle", 12), ("constant", 4)],
+                         ids=["dense-fit", "node-fit"])  # P = 24 < 2N+1: the dense fit
+def test_non_finite_boundary_data_exits_2(tmp_path, capsys, preset, N):
     # (x - 1e120)^3 overflows to -inf at every boundary point
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"preset": preset, "N": 4, "P": 24, "S": 60, "Q": 100,
+    cfg_path.write_text(json.dumps({"preset": preset, "N": N, "P": 24, "S": 60, "Q": 100,
                                     "boundary_data": {"expression": "shifted-cubic",
                                                       "beta": 1e120}}))
     with np.errstate(over="ignore"):
@@ -552,15 +553,16 @@ def test_non_finite_boundary_data_exits_2(tmp_path, capsys, preset):
     assert "invalid input: boundary data is not finite at theta = 0\n" in err
 
 
-@pytest.mark.parametrize("preset", ["triangle", "constant"], ids=["dense-fit", "node-fit"])
+@pytest.mark.parametrize("preset, N", [("triangle", 12), ("constant", 4)],
+                         ids=["dense-fit", "node-fit"])  # P = 24 < 2N+1: the dense fit
 def test_bad_boundary_data_exits_2_before_any_formal_power_and_without_a_warning(
-        tmp_path, capsys, monkeypatch, preset):
+        tmp_path, capsys, monkeypatch, preset, N):
     def traces(*args, **kwargs):
         raise AssertionError("formal powers built for data that is then rejected")
 
     monkeypatch.setattr(boundary_solver, "rim_traces", traces)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"preset": preset, "N": 4, "P": 24, "S": 60, "Q": 100,
+    cfg_path.write_text(json.dumps({"preset": preset, "N": N, "P": 24, "S": 60, "Q": 100,
                                     "boundary_data": {"expression": "shifted-cubic",
                                                       "beta": 1e120}}))
     with warnings.catch_warnings():
@@ -671,8 +673,7 @@ def test_bow_tie_polygon_and_triangle_preset_are_accepted(tmp_path):
 
 
 def test_scene_with_polygon_snaps_corners(tmp_path):
-    cfg = config_from_dict({"preset": "triangle", "N": 4, "P": 24, "S": 60, "Q": 100,
-                            "fit_quadrature": "nodes"})
+    cfg = config_from_dict({"preset": "triangle", "N": 4, "P": 24, "S": 60, "Q": 100})
     field = build_field(cfg)
     from fpeit.presets import corner_angles_for
     angles = corner_angles_for(cfg, field)
@@ -750,8 +751,8 @@ import sys
 from fpeit.cli import run_powers, run_solve, run_verify
 from fpeit.presets import config_from_dict
 run_verify(config_from_dict({{"preset": "sinusoidal", "N": 4, "P": 12, "S": 50}}), {str(tmp_path)!r})
-run_solve(config_from_dict({{"preset": "triangle", "N": 4, "P": 24, "S": 60, "Q": 100,
-                            "fit_quadrature": "dense"}}), {str(tmp_path)!r})
+run_solve(config_from_dict({{"preset": "triangle", "N": 12, "P": 24, "S": 60, "Q": 100}}),
+          {str(tmp_path)!r})
 run_powers(config_from_dict({{"preset": "constant", "N": 2, "P": 6, "S": 50}}), {str(tmp_path)!r})
 sys.exit(" ".join(m for m in ("numpy.random", "numpy.ma", "scipy") if m in sys.modules) or None)
 """

@@ -93,7 +93,7 @@ def test_solve_artifacts_match_the_row_writers(tmp_path, monkeypatch):
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("over, tables", [({}, 0), ({"fit_quadrature": "dense"}, 0),
+@pytest.mark.parametrize("over, tables", [({}, 0), ({"P": 9}, 0),  # P < 2N+1: the dense fit
                                           ({"dump_powers": True}, 1)],
                          ids=["nodes-fit", "dense-fit", "dump"])
 def test_solve_builds_the_table_only_for_the_powers_dump(tmp_path, monkeypatch, over, tables):
