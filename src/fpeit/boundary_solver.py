@@ -171,35 +171,38 @@ def _boundary_samples(data_fn, theta: np.ndarray) -> np.ndarray:
     return data
 
 
+def _horner_seeds(c: np.ndarray, N: int) -> np.ndarray:
+    """Seeds a_n = c_n + i c_(N+1+n) from raw coefficients c in label order (label N+1 is 0)."""
+    return c[:N + 1] + 1j * np.r_[0.0, c[N + 1:]]
+
+
 def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 35,
                     S: int = 400, Q: int = 1000, dense_error: bool = True) -> SolveResult:
     """Run the full pipeline: mesh, sequence, powers, orthonormal fit, error.
 
     ``data_fn`` maps boundary angles to imposed Dirichlet values. The mesh
-    snaps a ray to each of ``field.corner_angles()``. The residual norm is
-    integrated on Q equally spaced boundary points.
+    snaps a ray to each of ``field.corner_angles()``; E is integrated on Q
+    equally spaced boundary points. ``timings["fit"]`` holds the
+    orthonormalization, the fit and the seeds, ``timings["dense_traces"]`` the
+    Q-ray mesh and its chains, present whenever a fit builds them.
 
-    With P >= 2N+1 the coefficients project the data onto the orthonormal
-    basis at the P fit nodes. With ``dense_error`` (default) the fitted trace
-    is then re-evaluated on a Q-ray mesh (``fitted_field``: one Horner chain
-    per ray block), otherwise it is upsampled from the fit nodes by periodic
-    linear interpolation. That cheap E measures the interpolation of the
-    fitted node values, and is neither a lower nor an upper bound on the
-    error of the fit.
+    With P >= 2N+1 (the node fit) the coefficients project the data onto the
+    orthonormal basis at the P nodes. With ``dense_error`` (default) the fitted
+    trace is then re-evaluated on a Q-ray mesh (``fitted_field``: one Horner
+    chain per ray block), otherwise linearly upsampled from the nodes; that
+    cheap E bounds the error of the fit neither from above nor from below.
 
-    With P < 2N+1 a node fit would interpolate a basis cut short by the node
-    count and hide aliased high-degree content between the nodes. The
-    coefficients then solve the least-squares problem against the Q-point
-    traces of every raw function, rebuilt on the Q-ray mesh (``rim_traces``),
-    which discretizes the boundary-integral fit criterion directly; E is
-    measured on those traces whatever ``dense_error`` says.
+    With P < 2N+1 (the dense fit) a node fit would interpolate a basis cut
+    short by the node count and hide aliased high-degree content between the
+    nodes. The coefficients instead solve the least-squares problem against
+    the Q-point traces of every raw function, rebuilt on the Q-ray mesh
+    (``rim_traces``), which discretizes the boundary-integral fit criterion;
+    E is measured on those traces whatever ``dense_error`` says.
     """
     if N < 1:
         raise ValidationError(f"N must be >= 1, got {N}")
     if Q < P:
         raise ValidationError(f"Q={Q} must be at least P={P}")
-    node_fit = P >= 2 * N + 1
-    dense_error = dense_error or not node_fit
     timings: dict[str, float] = {}
     t0 = time.monotonic()
     mesh = radial_mesh(P, S, corner_angles=field.corner_angles())
@@ -212,29 +215,25 @@ def solve_dirichlet(field: ConductivityField, data_fn, *, N: int = 17, P: int = 
 
     t1 = time.monotonic()
     basis = orthonormalize(system)
-    b, fitted = fit_coefficients(basis, data_P)
-    timings["fit"] = time.monotonic() - t1
-
-    t2 = time.monotonic()
-    if dense_error:
-        mesh_q = radial_mesh(Q, S)
-    if not node_fit:
-        raw_q = rim_traces(field, mesh_q, N).raw
+    if P >= 2 * N + 1:  # the node fit
+        b, fitted = fit_coefficients(basis, data_P)
+        seeds = _horner_seeds(basis.transform.T @ b, N)
+        timings["fit"] = time.monotonic() - t1
+        if dense_error:
+            fit_q = fitted_field(field, radial_mesh(Q, S), N, seeds, rim=True)
+            timings["dense_traces"] = time.monotonic() - t1 - timings["fit"]
+        else:
+            fit_q = upsample_periodic_linear(mesh.theta, fitted, theta_q)
+    else:  # the dense fit
+        t2 = time.monotonic()
+        raw_q = rim_traces(field, radial_mesh(Q, S), N).raw
+        timings["dense_traces"] = time.monotonic() - t2
         b, *_ = np.linalg.lstsq((basis.transform @ raw_q).T, data_q, rcond=None)
         fitted = b @ basis.functions
-    c = basis.transform.T @ b
-    # raw coefficients by label (the reserved label N+1 is 0): a_n = c_n + i c_(N+1+n)
-    c_full = np.zeros(2 * N + 2)
-    c_full[system.labels] = c
-    seeds = c_full[:N + 1] + 1j * c_full[N + 1:]
-    if not node_fit:
+        c = basis.transform.T @ b
+        seeds = _horner_seeds(c, N)
         fit_q = c @ raw_q
-    elif dense_error:
-        fit_q = fitted_field(field, mesh_q, N, seeds, rim=True)
-    else:
-        fit_q = upsample_periodic_linear(mesh.theta, fitted, theta_q)
-    if dense_error:
-        timings["dense_traces"] = time.monotonic() - t2
+        timings["fit"] = time.monotonic() - t1 - timings["dense_traces"]
 
     t3 = time.monotonic()
     e_fit = error_norm(data_P, fitted, weights=mesh.boundary_weights)

@@ -97,7 +97,15 @@ class ConductivityField:
         return ()
 
 
-class AnalyticSeparable(ConductivityField):
+class SeparableField(ConductivityField):
+    """sigma = s1 * s2 with (s1, s2) = ``separable_parts(x, y)``, which each subclass defines."""
+
+    def _eval(self, x, y):
+        s1, s2 = self.separable_parts(x, y)
+        return s1 * s2
+
+
+class AnalyticSeparable(SeparableField):
     """sigma(x, y) = sigma1(x) * sigma2(y), both factors positive on [-1, 1]."""
 
     variant = "analytic-separable"
@@ -115,10 +123,6 @@ class AnalyticSeparable(ConductivityField):
             raise ValidationError("separable factors must be positive and finite on [-1, 1]")
         return s1, s2
 
-    def _eval(self, x, y):
-        s1, s2 = self.separable_parts(x, y)
-        return s1 * s2
-
 
 def constant_field(value: float = 1.0) -> AnalyticSeparable:
     """sigma == value, as a (trivially) separable field."""
@@ -130,7 +134,7 @@ def constant_field(value: float = 1.0) -> AnalyticSeparable:
                              bounds=(v, v))
 
 
-class PiecewiseSeparable(ConductivityField):
+class PiecewiseSeparable(SeparableField):
     """Slab-wise separable field, sigma = ((x+K)/(chi[j]+K)) * factors[j](y) on slab j.
 
     Slab j is [edges[j], edges[j+1]), half-open except the last, which is
@@ -177,10 +181,6 @@ class PiecewiseSeparable(ConductivityField):
                                   f"{float(y.flat[k])!r}, not positive and finite: a cubic "
                                   f"interpolant can undershoot positive samples, a linear one cannot")
         return (x + self.K) / (self.chi[j] + self.K), s2
-
-    def _eval(self, x, y):
-        s1, s2 = self.separable_parts(x, y)
-        return s1 * s2
 
 
 def build_piecewise(samples, slab_edges, K: float = 2.0, interpolant: str = "linear") -> PiecewiseSeparable:

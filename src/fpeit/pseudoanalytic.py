@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .conductivity import AnalyticSeparable, ConductivityField, PiecewiseSeparable
+from .conductivity import ConductivityField, SeparableField
 from .errors import NumericalError, ValidationError
 
 RIM_TOL = 1e-12
@@ -478,7 +478,7 @@ class GeneratingSequence:
 
 def limit_construction(field: ConductivityField) -> bool:
     """True when sigma is not separable, so its sequence is the period-1 limit case."""
-    return not isinstance(field, (AnalyticSeparable, PiecewiseSeparable))
+    return not isinstance(field, SeparableField)
 
 
 def pair_fields(field: ConductivityField, x, y) -> tuple:

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fpeit import boundary_solver
 from fpeit.boundary_solver import (
     BoundarySystem,
     error_norm,
@@ -279,6 +280,22 @@ def test_solve_dense_vs_cheap_error():
     assert dense.fit.error < 1e-10
     assert cheap.fit.error > 1e-4
     assert cheap.fit.error > dense.fit.error
+
+
+@pytest.mark.parametrize("P, projections", [(9, 0), (17, 1)], ids=["dense-fit", "node-fit"])
+@pytest.mark.parametrize("dense_error", [True, False])
+def test_each_fit_does_only_its_own_work(monkeypatch, P, projections, dense_error):
+    # the dense fit (P < 2N+1) solves least squares on the Q-ray traces: no node projection
+    calls = []
+    real = boundary_solver.fit_coefficients
+    monkeypatch.setattr(boundary_solver, "fit_coefficients",
+                        lambda *args: calls.append(args) or real(*args))
+    res = solve_dirichlet(SINUSOIDAL.field, SINUSOIDAL.boundary_data, N=8, P=P, S=60, Q=150,
+                          dense_error=dense_error)
+    assert len(calls) == projections
+    assert "fit" in res.timings
+    # a Q-ray mesh is built, and timed, unless a node fit takes the cheap E
+    assert ("dense_traces" in res.timings) == (dense_error or not projections)
 
 
 def test_solve_validation():

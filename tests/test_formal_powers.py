@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial import Chebyshev
 
 from fpeit import formal_powers, pseudoanalytic
 from fpeit.cli import main
@@ -27,7 +28,7 @@ from fpeit.formal_powers import (
 )
 from fpeit.presets import build_field, config_from_dict
 from fpeit.pseudoanalytic import GeneratingPair, build_sequence, radial_mesh
-from fpeit.verification import sinusoidal_case
+from fpeit.verification import lorentzian_case, sinusoidal_case
 from oracle_meshes import oracle_mesh
 from test_pseudoanalytic import reference_fg_integral
 
@@ -170,6 +171,60 @@ def test_stacked_chains_match_complex_chain(field, period, rule, S, grading):
         scale = np.abs(ref).max()
         assert np.abs(Z - ref).max() <= 1e-13 * scale
         assert np.abs(formal_power_fields(seq, mesh, 7, seed) - ref).max() <= 1e-13 * scale
+
+
+CHEB_DEG = 96
+
+
+def closed_form_series(weight, N, at):
+    """X^(0..N) at the points ``at``: X^(0) = 1 and X^(n) = n int_0^x X^(n-1) w, where w is
+    1/weight at odd n and weight at even n, each integrand a degree-96 Chebyshev interpolant."""
+    w = (Chebyshev.interpolate(weight, CHEB_DEG),
+         Chebyshev.interpolate(lambda s: 1.0 / weight(s), CHEB_DEG))
+    X, out = Chebyshev([1.0]), [np.ones_like(at)]
+    for n in range(1, N + 1):
+        X = n * Chebyshev.interpolate(lambda s, X=X, w=w[n % 2]: X(s) * w(s), CHEB_DEG).integ(lbnd=0)
+        out.append(X(at))
+    return out
+
+
+def separable_powers_oracle(field, mesh, N):
+    """Z^(n)(1) and Z^(n)(i), n = 0..N, of sigma = sigma1(x) sigma2(y) at the mesh nodes in
+    closed form (Kravchenko & Oviedo, Complex Var. Elliptic Equ. 52, 2007).
+
+    With phi^2 = sigma1(0)/sigma1(x), psi^2 = sigma2(y)/sigma2(0) and F = phi psi, the
+    series X, X~ (weights phi^-2, phi^2 at odd n; swapped for X~) and Y, Y~ (the same in y
+    with psi) give Z*(a) = a sum_j C(n, j) X_a^(n-j) i^j Y_a^(j), and Z = F Re Z* + i Im Z*/F.
+    """
+    x, y = mesh.xy()
+    phi2 = lambda s: field.sigma1(0.0) / field.sigma1(s)
+    psi2 = lambda s: field.sigma2(s) / field.sigma2(0.0)
+    F = np.sqrt(phi2(x) * psi2(y))
+    X, Xt = closed_form_series(phi2, N, x), closed_form_series(lambda s: 1.0 / phi2(s), N, x)
+    Y, Yt = closed_form_series(psi2, N, y), closed_form_series(lambda s: 1.0 / psi2(s), N, y)
+
+    def power(a, Xa, Yb, n):
+        z = a * sum(math.comb(n, j) * Xa[n - j] * 1j ** j * Yb[j] for j in range(n + 1))
+        return F * z.real + 1j * z.imag / F
+
+    return ([power(1.0, X if n % 2 else Xt, Yt, n) for n in range(N + 1)],
+            [power(1j, Xt if n % 2 else X, Y, n) for n in range(N + 1)])
+
+
+@pytest.mark.parametrize("case", [sinusoidal_case(math.pi), lorentzian_case(0.5)],
+                         ids=["sinusoidal", "lorentzian-0.5"])
+def test_separable_powers_match_the_closed_form(case):
+    # the gap of each degree over its max|Z|; the cubic ray rule gains 16x per doubling of S
+    N, gaps = 12, []
+    for S in (400, 800):
+        mesh = radial_mesh(16, S)
+        table = build_table(build_sequence(case.field, mesh), mesh, N)
+        Z1, Zi = separable_powers_oracle(case.field, mesh, N)
+        gaps.append(np.array([max(np.abs(table.Z1[n] - Z1[n]).max() / np.abs(Z1[n]).max(),
+                                  np.abs(table.Zi[n] - Zi[n]).max() / np.abs(Zi[n]).max())
+                              for n in range(N + 1)]))
+    assert gaps[0].max() <= 1e-6
+    assert np.all(gaps[0][1:] >= 12 * gaps[1][1:])
 
 
 def test_build_table_rejects_a_rule_other_than_the_meshs():
