@@ -189,7 +189,7 @@ def run_verify(config: RunConfig, out_dir) -> int:
     checks["vekua_per_degree"] = refined(*vekua, THRESHOLDS["vekua_ratio"], smooth)
     checks["successor_mesh"] = refined(*succ_mesh, THRESHOLDS["successor_mesh_ratio"],
                                        not limit_gap)
-    succ_cart = successor_residual(seqs[0], meshes[0], h=FD_H)
+    succ_cart = successor_residual(field, meshes[0], h=FD_H)
     checks["successor_cartesian"] = {
         "residuals": succ_cart,
         "threshold": None if limit_gap else THRESHOLDS["successor_cartesian"],

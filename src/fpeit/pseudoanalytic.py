@@ -198,15 +198,13 @@ def radial_mesh(P: int, S: int, *, rim_grading: float = 1.0,
 
 @dataclass(frozen=True)
 class GeneratingPair:
-    """The pair (F, G) = (p, i/p), held as its field p sampled on the mesh;
-    optionally backed by a callable p(x, y).
+    """The pair (F, G) = (p, i/p), held as its field p sampled on the mesh.
 
     p must be finite and positive at every node, and then the pair condition
     Im(conj(F) G) = 1 holds identically.
     """
 
     p: np.ndarray
-    p_fn: Callable | None = None
 
     def __post_init__(self):
         if not (np.all(np.isfinite(self.p)) and np.all(self.p > 0)):
@@ -259,32 +257,32 @@ def _fd_xy(fn: Callable, x: np.ndarray, y: np.ndarray, h: float):
     return out
 
 
-def _coefficients(p: np.ndarray, grad_p, grad_q):
-    """B and b of the pair (p, i/p) from the (d/dx, d/dy) of p and of q = 1/p.
+def _coefficients(p: np.ndarray, grad):
+    """B and b of the pairs (p, i/p) from grad, the (d/dx, d/dy) of the stack (p, q = 1/p).
 
     A = a = 0 for these pairs, and B = (dz(p)/p - p dz(1/p)) / 2, b the same
     with dzbar. Both halves equal dz(p)/p in exact arithmetic; the symmetric
     form keeps the finite-difference truncation of the two pairs of a
     separable sequence cancelling in the successor condition.
     """
-    (px, py), (qx, qy) = grad_p, grad_q
+    (px, qx), (py, qy) = grad
     ux = 0.5 * (px / p - p * qx)
     uy = 0.5 * (py / p - p * qy)
     return ux - 1j * uy, ux + 1j * uy
 
 
-def characteristic_coefficients(pair: GeneratingPair, mesh: RadialMesh, h: float = 1e-4):
-    """The coefficient fields (B, b) of a pair (p, i/p); its A and a vanish.
+def characteristic_coefficients(field: ConductivityField, mesh: RadialMesh, h: float = 1e-4):
+    """The coefficient fields (B, b) of the pairs (p, i/p) of a field's sequence; A and a vanish.
 
+    B and b are each stacked over the pairs of one period, (period, P, S+1).
     Derivatives of p and 1/p are taken by centered finite differences with
-    spacing ``h`` (one-sided at the rim), in one pass that evaluates p once
-    per stencil point, so the pair must be backed by a callable p.
+    spacing ``h`` (one-sided at the rim), in one pass over every pair that
+    calls ``pair_fields`` once per stencil point.
     """
-    if pair.p_fn is None:
-        raise ValidationError("characteristic coefficients need a callable-backed pair (p, i/p)")
-    (px, qx), (py, qy) = _fd_xy(lambda a, b: np.stack([p := pair.p_fn(a, b), 1.0 / p]),
-                                *mesh.xy(), h)
-    return _coefficients(pair.p, (px, py), (qx, qy))
+    x, y = mesh.xy()
+    p = np.stack(_one_period(pair_fields(field, x, y)))
+    return _coefficients(p, _fd_xy(
+        lambda a, b: np.stack([q := np.stack(pair_fields(field, a, b)[:len(p)]), 1.0 / q]), x, y, h))
 
 
 # --------------------------------------------------------------------------
@@ -494,18 +492,19 @@ def pair_fields(field: ConductivityField, x, y) -> tuple:
     return p2 / p1, p1 * p2
 
 
+def _one_period(ps: tuple) -> tuple:
+    """One period of pair fields: two that coincide (sigma1 constant) are period 1."""
+    return ps[:1] if len(ps) == 2 and np.array_equal(*ps) else ps
+
+
 def build_sequence(field: ConductivityField, mesh: RadialMesh) -> GeneratingSequence:
     """Generating sequence of the impedance-to-Vekua reduction for a conductivity field.
 
     Pair j is (p, i/p) with p = ``pair_fields(field, x, y)[j]`` sampled at the
-    mesh nodes and backed by that callable. The separable sequence (period 2)
-    degenerates to period 1 when its two pairs coincide (sigma1 constant).
+    mesh nodes, over ``_one_period``.
     """
-    ps = pair_fields(field, *mesh.xy())
-    if len(ps) == 2 and np.array_equal(*ps):
-        ps = ps[:1]
-    return GeneratingSequence(tuple(GeneratingPair(p, lambda a, b, j=j: pair_fields(field, a, b)[j])
-                                    for j, p in enumerate(ps)))
+    return GeneratingSequence(tuple(GeneratingPair(p) for p in
+                                    _one_period(pair_fields(field, *mesh.xy()))))
 
 
 def _successor_gaps(B: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -513,8 +512,8 @@ def _successor_gaps(B: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(np.roll(B, -1, axis=0) + b)
 
 
-def successor_residual(seq: GeneratingSequence, mesh: RadialMesh, h: float = 1e-4):
-    """max|B_(m+1) + b_m| over nodes, for each m in one period (Cartesian stencil).
+def successor_residual(field: ConductivityField, mesh: RadialMesh, h: float = 1e-4):
+    """max|B_(m+1) + b_m| over nodes per m in one period of the field's sequence (Cartesian stencil).
 
     For separable conductivities the finite-difference truncation cancels
     exactly between the two pairs (the separable factors drop out of the
@@ -523,8 +522,7 @@ def successor_residual(seq: GeneratingSequence, mesh: RadialMesh, h: float = 1e-
     residual instead measures |2 dx(p)/p|, the gap of the limit-case
     construction, and is not expected to be small.
     """
-    B, b = np.stack([characteristic_coefficients(pair, mesh, h=h) for pair in seq.pairs], axis=1)
-    return [float(np.max(g)) for g in _successor_gaps(B, b)]
+    return [float(np.max(g)) for g in _successor_gaps(*characteristic_coefficients(field, mesh, h))]
 
 
 def successor_residual_mesh(seq: GeneratingSequence, mesh: RadialMesh):
@@ -533,8 +531,8 @@ def successor_residual_mesh(seq: GeneratingSequence, mesh: RadialMesh):
     The polar stencils mix x and y, so no structural cancellation occurs and
     the residual reflects genuine discretization error: it shrinks at second
     order as the mesh is refined. Interior nodes only (the center column is
-    singular and the rim column one-sided). p and 1/p are each differenced once, pairs stacked.
+    singular and the rim column one-sided). p and 1/p of all pairs take one gradient pass.
     """
     p = np.stack([pair.p for pair in seq.pairs])
-    B, b = _coefficients(p, mesh.gradient(p), mesh.gradient(1.0 / p))
+    B, b = _coefficients(p, mesh.gradient(np.stack([p, 1.0 / p])))
     return [float(np.nanmax(g[:, 1:-1])) for g in _successor_gaps(B, b)]

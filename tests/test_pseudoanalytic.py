@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from fpeit.conductivity import (
+    LimitCase,
     constant_field,
     radial_rings_field,
     sample_piecewise,
@@ -30,6 +31,7 @@ from fpeit.pseudoanalytic import (
     characteristic_coefficients,
     limit_construction,
     fg_integral,
+    pair_fields,
     radial_mesh,
     successor_residual,
     successor_residual_mesh,
@@ -39,8 +41,7 @@ from oracle_meshes import oracle_mesh
 
 
 def unit_pair(mesh):
-    ones = np.ones(mesh.nodes.shape)
-    return GeneratingPair(ones, lambda x, y: np.ones_like(np.asarray(x, float)))
+    return GeneratingPair(np.ones(mesh.nodes.shape))
 
 
 def dz_dzbar(W, mesh):
@@ -49,14 +50,15 @@ def dz_dzbar(W, mesh):
     return Wx - 1j * Wy, Wx + 1j * Wy
 
 
-def fg_derivative(W, pair, mesh, h=1e-4):
-    """Pair derivative dz(W) - A W - B conj(W) of a mesh field, with A = 0 for (p, i/p).
+def fg_derivative(W, field, mesh, h=1e-4):
+    """Pair derivative dz(W) - A W - B conj(W) of a mesh field for pair 0 of the field's
+    sequence, with A = 0 for (p, i/p).
 
     dz(W) is taken by the mesh central differences (NaN at the center
     column), B by ``characteristic_coefficients`` with spacing ``h``.
     """
-    B, _ = characteristic_coefficients(pair, mesh, h=h)
-    return dz_dzbar(W, mesh)[0] - B * np.conj(W)
+    B, _ = characteristic_coefficients(field, mesh, h=h)
+    return dz_dzbar(W, mesh)[0] - B[0] * np.conj(W)
 
 
 # --- mesh ---------------------------------------------------------------------
@@ -176,23 +178,22 @@ def test_pair_validation():
         p[3, 7] = bad  # one bad node is enough
         with pytest.raises(ValidationError):
             GeneratingPair(p)
-    with pytest.raises(ValidationError):
-        characteristic_coefficients(GeneratingPair(np.ones(mesh.nodes.shape)), mesh)
 
 
 # --- characteristic coefficients ------------------------------------------------
 
 def test_coefficients_unit_pair_vanish():
     mesh = radial_mesh(12, 60)
-    for arr in characteristic_coefficients(unit_pair(mesh), mesh):
+    for arr in characteristic_coefficients(constant_field(1.0), mesh):
+        assert arr.shape == (1,) + mesh.nodes.shape
         assert np.abs(arr).max() == 0.0
 
 
 def test_coefficients_exponential():
     # p = e^x: B = dz(p)/p = 1, b = dzbar(p)/p = 1
     mesh = radial_mesh(12, 60)
-    pair = GeneratingPair(np.exp(mesh.nodes.real), lambda x, y: np.exp(np.asarray(x, float)))
-    B, b = characteristic_coefficients(pair, mesh, h=1e-4)
+    field = LimitCase(lambda x, y: np.exp(np.asarray(x, float)) ** 2)
+    (B,), (b,) = characteristic_coefficients(field, mesh, h=1e-4)
     interior = np.s_[:, 1:-1]
     assert np.abs(B[interior] - 1.0).max() < 1e-7
     assert np.abs(b[interior] - 1.0).max() < 1e-7
@@ -209,8 +210,7 @@ def test_coefficients_match_direct_formula():
     def p_fn(x, y):
         return np.exp(0.3 * np.asarray(x) + 0.2 * np.asarray(y) ** 2)
 
-    pair = GeneratingPair(p_fn(*mesh.xy()), p_fn)
-    B, b = characteristic_coefficients(pair, mesh, h=h)
+    (B,), (b,) = characteristic_coefficients(LimitCase(lambda x, y: p_fn(x, y) ** 2), mesh, h=h)
     x, y = mesh.xy()
     interior = np.hypot(x, y) < 1 - 2 * h
     px = (p_fn(x + h, y) - p_fn(x - h, y)) / (2 * h)
@@ -223,13 +223,6 @@ def test_coefficients_match_direct_formula():
     assert np.abs((b - b_direct)[interior]).max() <= 10 * h ** 2 * scale + 1e-12
 
 
-def test_coefficients_require_backing_callable():
-    mesh = radial_mesh(8, 50)
-    pair = GeneratingPair(np.ones(mesh.nodes.shape))  # no p_fn
-    with pytest.raises(ValidationError):
-        characteristic_coefficients(pair, mesh)
-
-
 def general_pair_coefficients(F, G, dzF, dzbF, dzG, dzbG):
     """A, B, a, b of a general pair (F, G) from its derivatives, through den."""
     den = F * np.conj(G) - G * np.conj(F)
@@ -240,13 +233,20 @@ def general_pair_coefficients(F, G, dzF, dzbF, dzG, dzbG):
     return A, B, a, b
 
 
-def general_coefficients(pair, mesh, h=1e-4):
-    """The general-pair formulas on the Cartesian stencil, F and G differenced as complex fields."""
+def general_coefficients(field, mesh, h=1e-4):
+    """The general-pair formulas on the Cartesian stencil for each pair of the field's
+    sequence, F and G differenced as complex fields, one pair at a time."""
     x, y = mesh.xy()
-    Fx, Fy = _fd_xy(lambda a, b: np.asarray(pair.p_fn(a, b), dtype=complex), x, y, h)
-    Gx, Gy = _fd_xy(lambda a, b: 1j / np.asarray(pair.p_fn(a, b), dtype=complex), x, y, h)
-    return general_pair_coefficients(pair.F, 1j / pair.p, Fx - 1j * Fy, Fx + 1j * Fy,
-                                     Gx - 1j * Gy, Gx + 1j * Gy)
+    out = []
+    for j, pair in enumerate(build_sequence(field, mesh).pairs):
+        def F(a, b, j=j):
+            return np.asarray(pair_fields(field, a, b)[j], dtype=complex)
+
+        Fx, Fy = _fd_xy(F, x, y, h)
+        Gx, Gy = _fd_xy(lambda a, b: 1j / F(a, b), x, y, h)
+        out.append(general_pair_coefficients(pair.F, 1j / pair.p, Fx - 1j * Fy, Fx + 1j * Fy,
+                                             Gx - 1j * Gy, Gx + 1j * Gy))
+    return out
 
 
 def general_coefficients_mesh(pair, mesh):
@@ -255,10 +255,10 @@ def general_coefficients_mesh(pair, mesh):
     return general_pair_coefficients(F, G, *dz_dzbar(F, mesh), *dz_dzbar(G, mesh))
 
 
-def general_successor_gaps(seq, coefficients):
-    """|B_(m+1) + b_m| per node and m from the general-pair coefficients."""
-    return [np.abs(coefficients(seq.pair_for(m + 1))[1] + coefficients(seq.pair_for(m))[3])
-            for m in range(seq.period)]
+def general_successor_gaps(coefficients):
+    """|B_(m+1) + b_m| per node and m from the general-pair coefficients of each pair."""
+    k = len(coefficients)
+    return [np.abs(coefficients[(m + 1) % k][1] + coefficients[m][3]) for m in range(k)]
 
 
 DISK_SCENE = {"background": 10.0,
@@ -273,15 +273,18 @@ ORACLE_FIELDS = {"sinusoidal": sinusoidal_case(math.pi).field,
 def test_coefficients_match_general_pair_oracle(name):
     # 35 x 100 puts nodes within the Cartesian h of the scene and ring jumps
     mesh = radial_mesh(35, 100)
-    seq = build_sequence(ORACLE_FIELDS[name], mesh)
+    field = ORACLE_FIELDS[name]
+    seq = build_sequence(field, mesh)
     separable = name in ("sinusoidal", "lorentzian-0.5")
     assert seq.period == (2 if separable else 1)
     interior = np.s_[:, 1:-1]
     gradient = _gradient_operator(mesh)
-    for pair in seq.pairs:
-        on_mesh = _coefficients(pair.p, gradient(pair.p), gradient(1.0 / pair.p))
-        oracle = general_coefficients(pair, mesh)
-        for new, (_, B, _, b) in ((characteristic_coefficients(pair, mesh), oracle),
+    B_all, b_all = characteristic_coefficients(field, mesh)
+    assert B_all.shape == b_all.shape == (seq.period,) + mesh.nodes.shape
+    for pair, oracle, cartesian in zip(seq.pairs, general_coefficients(field, mesh),
+                                       zip(B_all, b_all)):
+        on_mesh = _coefficients(pair.p, zip(gradient(pair.p), gradient(1.0 / pair.p)))
+        for new, (_, B, _, b) in ((cartesian, oracle),
                                   (on_mesh, general_coefficients_mesh(pair, mesh))):
             scale = np.abs(B[interior]).max()
             assert np.abs(new[0] - B)[interior].max() <= 1e-12 * scale
@@ -298,12 +301,13 @@ def test_coefficients_match_general_pair_oracle(name):
 @pytest.mark.parametrize("name", ORACLE_FIELDS)
 def test_successor_residuals_match_general_pair_oracle(name):
     mesh = radial_mesh(35, 100)
-    seq = build_sequence(ORACLE_FIELDS[name], mesh)
+    field = ORACLE_FIELDS[name]
+    seq = build_sequence(field, mesh)
     cartesian = [float(np.max(g)) for g in
-                 general_successor_gaps(seq, lambda pair: general_coefficients(pair, mesh))]
-    on_mesh = [float(np.nanmax(g[:, 1:-1])) for g in
-               general_successor_gaps(seq, lambda pair: general_coefficients_mesh(pair, mesh))]
-    np.testing.assert_allclose(successor_residual(seq, mesh), cartesian, rtol=1e-12, atol=1e-15)
+                 general_successor_gaps(general_coefficients(field, mesh))]
+    on_mesh = [float(np.nanmax(g[:, 1:-1])) for g in general_successor_gaps(
+        [general_coefficients_mesh(pair, mesh) for pair in seq.pairs])]
+    np.testing.assert_allclose(successor_residual(field, mesh), cartesian, rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(successor_residual_mesh(seq, mesh), on_mesh, rtol=1e-12, atol=1e-15)
 
 
@@ -342,7 +346,7 @@ def test_fg_integral_against_quadrature_oracle():
     def p_fn(x, y):
         return np.exp(0.4 * np.asarray(x) - 0.3 * np.asarray(y))
 
-    pair = GeneratingPair(p_fn(*mesh.xy()), p_fn)
+    pair = GeneratingPair(p_fn(*mesh.xy()))
 
     def V(z):
         return z ** 2 + 0.3 * np.conj(z) + 0.1j
@@ -444,8 +448,8 @@ def test_fg_derivative_annihilates_pair():
         seq = build_sequence(case.field, mesh)
         pair = seq.pair_for(0)
         interior = np.s_[:, 1:-1]
-        dF = fg_derivative(pair.F, pair, mesh)
-        dG = fg_derivative(1j / pair.p, pair, mesh)
+        dF = fg_derivative(pair.F, case.field, mesh)
+        dG = fg_derivative(1j / pair.p, case.field, mesh)
         scale = np.abs(dz_dzbar(pair.F, mesh)[0][interior]).max() + 1.0
         residuals.append(max(np.nanmax(np.abs(dF[interior])),
                              np.nanmax(np.abs(dG[interior]))) / scale)
@@ -457,9 +461,8 @@ def test_fg_derivative_unit_pair_z_squared():
     # factorless convention: dz(z^2) = 2 * (2z); tolerance at the angular
     # truncation scale (dtheta^2/6) |d^3/dtheta^3 z^2| ~ 1.6e-3 at P=128
     mesh = radial_mesh(128, 200)
-    pair = unit_pair(mesh)
     z = mesh.nodes
-    got = fg_derivative(z ** 2, pair, mesh)
+    got = fg_derivative(z ** 2, constant_field(1.0), mesh)
     interior = np.s_[:, 1:-1]
     np.testing.assert_allclose(got[interior], 2 * (2 * z)[interior], atol=5e-3)
     # and it matches an independent mesh-free central difference
@@ -561,7 +564,8 @@ def test_mesh_gradient_matches_reference_bitwise(name):
 def test_verify_residuals_match_reference_loops(name):
     # a period-2 and a period-1 preset, on the derivative oracle kept above
     mesh = radial_mesh(35, 60)
-    seq = build_sequence(preset_field(name), mesh)
+    field = preset_field(name)
+    seq = build_sequence(field, mesh)
     assert seq.period == (2 if name == "sinusoidal" else 1)
     table = build_table(seq, mesh, 5)
 
@@ -577,8 +581,8 @@ def test_verify_residuals_match_reference_loops(name):
     assert np.array_equal(pseudoanalyticity_check(seq, mesh, 5), expected)
 
     def coefficients(pair):
-        return _coefficients(pair.p, reference_mesh_gradient(pair.p, mesh),
-                             reference_mesh_gradient(1.0 / pair.p, mesh))
+        return _coefficients(pair.p, zip(reference_mesh_gradient(pair.p, mesh),
+                                         reference_mesh_gradient(1.0 / pair.p, mesh)))
 
     Bb = [coefficients(pair) for pair in seq.pairs]
     expected = [float(np.nanmax(np.abs(Bb[(m + 1) % seq.period][0] + Bb[m][1])[:, 1:-1]))
@@ -588,14 +592,16 @@ def test_verify_residuals_match_reference_loops(name):
     # the Cartesian stencil, one pair at a time and p and 1/p in separate passes
     x, y = mesh.xy()
 
-    def cartesian(pair):
-        return _coefficients(pair.p, _fd_xy(pair.p_fn, x, y, 1e-4),
-                             _fd_xy(lambda a, b: 1.0 / pair.p_fn(a, b), x, y, 1e-4))
+    def cartesian(j, pair):
+        def p(a, b):
+            return pair_fields(field, a, b)[j]
+        return _coefficients(pair.p, zip(_fd_xy(p, x, y, 1e-4),
+                                         _fd_xy(lambda a, b: 1.0 / p(a, b), x, y, 1e-4)))
 
-    Bb = [cartesian(pair) for pair in seq.pairs]
+    Bb = [cartesian(j, pair) for j, pair in enumerate(seq.pairs)]
     expected = [float(np.max(np.abs(Bb[(m + 1) % seq.period][0] + Bb[m][1])))
                 for m in range(seq.period)]
-    assert successor_residual(seq, mesh) == expected
+    assert successor_residual(field, mesh) == expected
 
 
 def test_mesh_derivatives_are_built_once_per_verify_mesh(monkeypatch, tmp_path):
@@ -659,23 +665,38 @@ PIECEWISE_OF = {"variant": "piecewise-of", "source": {"variant": "lorentzian", "
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES + ("piecewise-of",))
-def test_pair_callables_reproduce_the_sampled_pairs_bitwise(name):
-    # the mesh samples and the callables the Cartesian check differentiates are one formula
+def test_coefficients_stack_one_period_of_the_sequence(name):
+    # the Cartesian check and the sequence collapse a period by one rule
     doc = ({"conductivity": PIECEWISE_OF, "boundary_data": {"case": "constant"}}
            if name == "piecewise-of" else {"preset": name})
     field = build_field(config_from_dict(doc))
     mesh = radial_mesh(35, 100)
     seq = build_sequence(field, mesh)
     assert seq.period == (1 if limit_construction(field) or name == "constant" else 2)
-    for pair in seq.pairs:
-        np.testing.assert_array_equal(pair.p_fn(*mesh.xy()), pair.p)
+    for arr in characteristic_coefficients(field, mesh):
+        assert arr.shape == (seq.period,) + mesh.nodes.shape
+
+
+def test_cartesian_check_samples_each_stencil_point_once(monkeypatch):
+    # one node sampling plus one call per stencil point: four arms, and the two
+    # rotated arms of the rim node where both y arms leave the disk
+    calls = []
+    original = pseudoanalytic.pair_fields
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(pseudoanalytic, "pair_fields", counting)
+    res = successor_residual(sinusoidal_case(math.pi).field, radial_mesh(35, 100))
+    assert len(res) == 2
+    assert len(calls) <= 7
 
 
 def test_successor_condition_cartesian_floor():
     # separable pairs: the truncation cancels exactly, the residual is rounding
     mesh = radial_mesh(16, 80)
-    seq = build_sequence(sinusoidal_case(math.pi).field, mesh)
-    res = successor_residual(seq, mesh, h=1e-4)
+    res = successor_residual(sinusoidal_case(math.pi).field, mesh, h=1e-4)
     assert max(res) < 1e-9
 
 
@@ -723,10 +744,9 @@ def test_round_trip_identity_and_order():
 def test_round_trip_uses_consistent_factor():
     # the mesh-FD pair derivative agrees with the exact factorless derivative
     mesh = radial_mesh(256, 200)
-    pair = unit_pair(mesh)
     z = mesh.nodes
     W = z ** 3 - 0.5 * z
-    dW = fg_derivative(W, pair, mesh)
+    dW = fg_derivative(W, constant_field(1.0), mesh)
     exact = 2 * (3 * z ** 2 - 0.5)
     interior = np.s_[:, 1:-1]
     np.testing.assert_allclose(dW[interior], exact[interior], atol=5e-3)
